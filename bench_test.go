@@ -10,6 +10,7 @@ package semtree_test
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -327,6 +328,58 @@ func BenchmarkFastMapEmbed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mapper.Map(q)
 	}
+}
+
+// embedStream is a stream of distinct synth triples (400 actors, as in
+// the perfbench workloads) for the parallel embedding benchmarks.
+func embedStream() (corpus, stream []triple.Triple) {
+	g := synth.New(synth.Config{Seed: 1, Actors: 400}, nil)
+	return g.Triples(5000), g.Triples(1 << 14)
+}
+
+// BenchmarkTripleDistanceParallel measures Eq. 1 through
+// Metric.Distance from GOMAXPROCS goroutines over a stream of distinct
+// triple pairs, so memo and lock contention show up in ns/op.
+func BenchmarkTripleDistanceParallel(b *testing.B) {
+	metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{})
+	_, stream := embedStream()
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(7919))
+		for pb.Next() {
+			i++
+			metric.Distance(stream[i&(len(stream)-1)], stream[(i*31+17)&(len(stream)-1)])
+		}
+	})
+}
+
+// BenchmarkFastMapEmbedParallel measures the index's embedding of an
+// out-of-sample triple — resolve once, then Map against the resolved
+// pivots — from GOMAXPROCS goroutines over a stream of distinct
+// triples.
+func BenchmarkFastMapEmbedParallel(b *testing.B) {
+	metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{})
+	corpus, stream := embedStream()
+	resolved := make([]semdist.Triple, len(corpus))
+	for i, t := range corpus {
+		resolved[i] = metric.Resolve(t)
+	}
+	mapper, _, err := fastmap.Build(resolved, metric.ResolvedDistance, fastmap.Options{Dims: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(7919))
+		for pb.Next() {
+			i++
+			mapper.Map(metric.Resolve(stream[i&(len(stream)-1)]))
+		}
+	})
 }
 
 // BenchmarkIndexBuildEndToEnd measures the full Build pipeline

@@ -72,7 +72,8 @@ type Match struct {
 type Index struct {
 	store  *triple.Store
 	metric *semdist.Metric
-	mapper *fastmap.Mapper[triple.Triple]
+	mapper *fastmap.Mapper[semdist.Triple] // pivots resolved once, as anchors
+	pivots fastmap.Snapshot[triple.Triple] // the mapper's persisted form
 	tree   *core.Tree
 	dims   int
 	opts   persistedOptions
@@ -127,11 +128,20 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 	}
 
 	triples := store.Triples()
-	mapper, coords, err := fastmap.Build(triples, metric.Distance, fastmap.Options{
+	resolved := make([]semdist.Triple, len(triples))
+	for i, t := range triples {
+		resolved[i] = metric.Resolve(t)
+	}
+	built, coords, err := fastmap.Build(resolved, metric.ResolvedDistance, fastmap.Options{
 		Dims:            dims,
 		PivotIterations: opts.PivotIterations,
 		Seed:            opts.Seed,
 	})
+	if err != nil {
+		return nil, err
+	}
+	pivots := fastmap.ConvertSnapshot(built.Snapshot(), semdist.Triple.Triple)
+	mapper, err := anchoredMapper(metric, pivots)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +168,7 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 	}
 
 	return &Index{
-		store: store, metric: metric, mapper: mapper, tree: tree, dims: dims,
+		store: store, metric: metric, mapper: mapper, pivots: pivots, tree: tree, dims: dims,
 		coords: coords,
 		opts: persistedOptions{
 			Weights:         metric.Weights(),
@@ -167,6 +177,17 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 			Dims:            dims,
 		},
 	}, nil
+}
+
+// anchoredMapper rebuilds the embedding from its persisted form,
+// resolving each of the 2·dims pivots once, as anchors of the metric.
+func anchoredMapper(metric *semdist.Metric, s fastmap.Snapshot[triple.Triple]) (*fastmap.Mapper[semdist.Triple], error) {
+	return fastmap.FromSnapshot(fastmap.ConvertSnapshot(s, metric.ResolveAnchor), metric.ResolvedDistance)
+}
+
+// embed maps a triple into the FastMap space, resolving it once.
+func (ix *Index) embed(t triple.Triple) []float64 {
+	return ix.mapper.Map(ix.metric.Resolve(t))
 }
 
 // ErrUnindexedID reports a tree point whose ID has no entry in the
@@ -189,7 +210,7 @@ func (e ErrUnindexedID) Error() string {
 // the store but not in the index, and a query that somehow retrieves
 // such an ID fails with ErrUnindexedID naming it.
 func (ix *Index) Insert(t triple.Triple, prov triple.Provenance) (triple.ID, error) {
-	c := ix.mapper.Map(t)
+	c := ix.embed(t)
 	// Store write and embedding append happen under one critical
 	// section: a concurrent Save must never observe the triple in the
 	// store without its coordinate row (or the reverse).
@@ -230,7 +251,7 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	}
 	coords := make([][]float64, len(items))
 	_ = core.RunBatch(ctx, len(items), 0, func(i int) error {
-		coords[i] = ix.mapper.Map(items[i].Triple)
+		coords[i] = ix.embed(items[i].Triple)
 		return nil
 	})
 	if err := ctx.Err(); err != nil {

@@ -321,8 +321,44 @@ func TestTCPDeadlinePropagatesToHandler(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline did not bound the call: %v", elapsed)
 	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired call error %v is not context.DeadlineExceeded", err)
+	}
 	if !<-sawDeadline {
 		t.Fatal("handler context carried no deadline")
+	}
+}
+
+// TestTCPRemoteErrorIdentity: a handler's transient, canceled and
+// deadline errors keep their errors.Is identity across the wire, with
+// the remote message intact; any other error stays a plain remote error.
+func TestTCPRemoteErrorIdentity(t *testing.T) {
+	f := NewTCP()
+	defer f.Close()
+	cases := []error{
+		fmt.Errorf("partition 3: %w", ErrTransient),
+		fmt.Errorf("forward: %w", context.Canceled),
+		fmt.Errorf("query: %w", context.DeadlineExceeded),
+		errors.New("plain failure"),
+	}
+	for _, want := range cases {
+		id, err := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
+			return nil, want
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got := f.Call(context.Background(), ClientID, id, echoReq{})
+		var re *remoteError
+		//semtree:allow typederr: not classification — the remote message must cross the wire verbatim; identity is checked with errors.Is below
+		if !errors.As(got, &re) || re.msg != want.Error() {
+			t.Fatalf("remote %q arrived as %v", want, got)
+		}
+		for _, s := range []error{ErrTransient, context.Canceled, context.DeadlineExceeded} {
+			if errors.Is(got, s) != errors.Is(want, s) {
+				t.Errorf("remote %q: errors.Is(%v) = %v, want %v", want, s, errors.Is(got, s), errors.Is(want, s))
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -14,14 +15,54 @@ import (
 // response. Payload types crossing a TCP fabric must be registered with
 // RegisterMessage. Deadline (unix nanoseconds, 0 = none) carries the
 // caller's context deadline so the serving side can derive an
-// equivalent context and stop working on an expired request.
+// equivalent context and stop working on an expired request. A
+// response's Code names the sentinel its Err matched on the serving
+// side, so errors.Is still classifies it on the caller's.
 type envelope struct {
-	From      int
-	Payload   any
-	Err       string
-	Transient bool
-	Deadline  int64
+	From     int
+	Payload  any
+	Err      string
+	Code     errCode
+	Deadline int64
 }
+
+// errCode is the wire identity of a handler error.
+type errCode uint8
+
+const (
+	codeOther errCode = iota
+	codeTransient
+	codeCanceled
+	codeDeadline
+)
+
+// codeSentinels maps each code to the sentinel it stands for.
+var codeSentinels = [...]error{
+	codeTransient: ErrTransient,
+	codeCanceled:  context.Canceled,
+	codeDeadline:  context.DeadlineExceeded,
+}
+
+func codeOf(err error) errCode {
+	for c, s := range codeSentinels {
+		if s != nil && errors.Is(err, s) {
+			return errCode(c)
+		}
+	}
+	return codeOther
+}
+
+// remoteError is a handler error that crossed the TCP fabric: the
+// remote message, which errors.Is matches against the sentinel its
+// code names.
+type remoteError struct {
+	msg      string
+	sentinel error // nil for codeOther
+}
+
+func (e *remoteError) Error() string { return "cluster: remote error: " + e.msg }
+
+func (e *remoteError) Unwrap() error { return e.sentinel }
 
 // RegisterMessage registers a payload type for gob encoding on TCP
 // fabrics. Call it from an init function for every concrete request
@@ -110,7 +151,7 @@ func (f *TCP) serve(n *tcpNode, conn net.Conn) {
 	resp := envelope{}
 	out, err := n.handler(ctx, NodeID(req.From), req.Payload)
 	if err != nil {
-		resp.Err = err.Error()
+		resp.Err, resp.Code = err.Error(), codeOf(err)
 	} else {
 		resp.Payload = out
 	}
@@ -138,7 +179,7 @@ func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	var dialer net.Dialer
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := expired(ctx); cerr != nil {
 			return nil, cerr
 		}
 		f.failures.Add(1)
@@ -156,7 +197,7 @@ func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	}
 	cw := &countingConn{Conn: conn}
 	if err := gob.NewEncoder(cw).Encode(&envelope{From: int(from), Payload: req, Deadline: wireDeadline}); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := expired(ctx); cerr != nil {
 			return nil, cerr
 		}
 		f.failures.Add(1)
@@ -164,7 +205,7 @@ func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	}
 	var resp envelope
 	if err := gob.NewDecoder(cw).Decode(&resp); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := expired(ctx); cerr != nil {
 			return nil, cerr
 		}
 		f.failures.Add(1)
@@ -172,12 +213,27 @@ func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	}
 	f.bytes.Add(cw.n.Load())
 	if resp.Err != "" {
-		if resp.Transient {
-			return nil, fmt.Errorf("%w: %s", ErrTransient, resp.Err)
+		e := &remoteError{msg: resp.Err}
+		if int(resp.Code) < len(codeSentinels) {
+			e.sentinel = codeSentinels[resp.Code]
 		}
-		return nil, fmt.Errorf("cluster: remote error: %s", resp.Err)
+		return nil, e
 	}
 	return resp.Payload, nil
+}
+
+// expired reports the context's error. A connection deadline set from
+// the context can trip before the context's own timer fires, so a
+// deadline already passed counts as context.DeadlineExceeded even while
+// ctx.Err is still nil.
+func expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // Send implements Fabric: the call runs on its own goroutine and the

@@ -215,6 +215,24 @@ func (m *Mapper[T]) Snapshot() Snapshot[T] {
 	}
 }
 
+// ConvertSnapshot maps a snapshot's pivot objects through f and keeps
+// its geometry, for a mapper over another representation of the same
+// objects (f must preserve every distance).
+func ConvertSnapshot[T, U any](s Snapshot[T], f func(T) U) Snapshot[U] {
+	out := Snapshot[U]{
+		Dims: s.Dims, CoordsA: s.CoordsA, CoordsB: s.CoordsB, DAB: s.DAB,
+		PivotA: make([]U, len(s.PivotA)),
+		PivotB: make([]U, len(s.PivotB)),
+	}
+	for i, p := range s.PivotA {
+		out.PivotA[i] = f(p)
+	}
+	for i, p := range s.PivotB {
+		out.PivotB[i] = f(p)
+	}
+	return out
+}
+
 // FromSnapshot reconstructs a Mapper from a snapshot and the distance
 // function it was built under. It validates the snapshot's internal
 // consistency.

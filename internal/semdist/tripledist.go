@@ -51,9 +51,17 @@ type Options struct {
 }
 
 // Metric computes the semantic distance between triples (Eq. 1). It is
-// immutable after construction and safe for concurrent use; concept
-// distances are memoized per vocabulary as a dense matrix, literal
-// distances in a shared map.
+// immutable after construction and safe for concurrent use.
+//
+// Every distance goes through one kernel over resolved terms (see
+// Resolve): a term's surface form is interned to a dense ID once, and a
+// concept of a registered vocabulary is resolved once to that
+// vocabulary's distance matrix and its concept index. A component
+// distance is then a matrix load, a lookup in a pair memo keyed by two
+// IDs, or a numeric difference; a memo hit takes no lock, allocates
+// nothing and does no atomic read-modify-write, so concurrent callers
+// do not contend. Distance and TermDistance resolve their arguments and
+// call the same kernel.
 type Metric struct {
 	w        Weights
 	concept  ConceptMeasure
@@ -61,9 +69,27 @@ type Metric struct {
 	numeric  bool
 	useCache bool
 
-	mu       sync.Mutex
-	matrices map[*vocab.Vocabulary][]float64 // lazily built V×V distance matrices
-	litCache sync.Map                        // string pair key → float64
+	surfaces *interner // surface form → ID, plus its concept bindings
+
+	// spaces holds one concept space per resolved prefix. Only a
+	// binding miss (a surface form's first use under a prefix) reads it.
+	// The registry is add-only, so a space stays valid forever; a prefix
+	// the registry lacks is not cached, since it may be registered later.
+	spaceMu sync.Mutex
+	spaces  map[string]*conceptSpace
+
+	pairs       *pairMemo // literal pairs, reset at pairMemoCap
+	anchorPairs *pairMemo // literal pairs involving an anchor term, never reset
+}
+
+// conceptSpace is one vocabulary as the kernel sees it: the n×n
+// distance matrix of its concepts under the metric's measure, built in
+// full on first use (vocabularies hold tens to a few hundred concepts)
+// and immutable afterwards. dist is nil under DisableCache.
+type conceptSpace struct {
+	v    *vocab.Vocabulary
+	n    int
+	dist []float64
 }
 
 // New builds a Metric over the vocabularies in reg.
@@ -82,14 +108,18 @@ func New(reg *vocab.Registry, opts Options) (*Metric, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("semdist: nil vocabulary registry")
 	}
-	return &Metric{
-		w:        w,
-		concept:  c,
-		reg:      reg,
-		numeric:  opts.NumericLiterals,
-		useCache: !opts.DisableCache,
-		matrices: make(map[*vocab.Vocabulary][]float64),
-	}, nil
+	m := &Metric{
+		w:           w,
+		concept:     c,
+		reg:         reg,
+		numeric:     opts.NumericLiterals,
+		useCache:    !opts.DisableCache,
+		surfaces:    newInterner(),
+		pairs:       newPairMemo(pairMemoCap),
+		anchorPairs: newPairMemo(0),
+		spaces:      make(map[string]*conceptSpace),
+	}
+	return m, nil
 }
 
 // MustNew is New for static setup; it panics on error.
@@ -109,10 +139,25 @@ func (m *Metric) Weights() Weights { return m.w }
 func (m *Metric) Registry() *vocab.Registry { return m.reg }
 
 // Distance computes Eq. 1 between two triples. The result is in [0, 1].
+// Callers comparing one triple against many should Resolve it once and
+// use ResolvedDistance.
 func (m *Metric) Distance(a, b triple.Triple) float64 {
-	return m.w.Alpha*m.TermDistance(a.Subject, b.Subject) +
-		m.w.Beta*m.TermDistance(a.Predicate, b.Predicate) +
-		m.w.Gamma*m.TermDistance(a.Object, b.Object)
+	var ra, rb Triple
+	m.resolve(&ra, a)
+	m.resolve(&rb, b)
+	return m.distance(&ra, &rb)
+}
+
+// ResolvedDistance computes Eq. 1 between two triples resolved by this
+// metric. It is bit-identical to Distance on the source triples.
+func (m *Metric) ResolvedDistance(a, b Triple) float64 {
+	return m.distance(&a, &b)
+}
+
+func (m *Metric) distance(a, b *Triple) float64 {
+	return m.w.Alpha*m.termDistance(&a.s, &b.s) +
+		m.w.Beta*m.termDistance(&a.p, &b.p) +
+		m.w.Gamma*m.termDistance(&a.o, &b.o)
 }
 
 // TermDistance computes the component distance between two terms,
@@ -127,72 +172,90 @@ func (m *Metric) Distance(a, b triple.Triple) float64 {
 //     normalized Levenshtein over the surface forms, the most
 //     conservative comparison available.
 func (m *Metric) TermDistance(a, b triple.Term) float64 {
-	if a.Equal(b) {
-		return 0
-	}
-	if a.IsLiteral() && b.IsLiteral() && a.LitType == b.LitType {
-		if m.numeric && (a.LitType == triple.LitInt || a.LitType == triple.LitFloat) {
-			return numericDistance(a.Value, b.Value)
-		}
-		return m.literalDistance(a.Value, b.Value)
-	}
-	if a.IsConcept() && b.IsConcept() && a.Prefix == b.Prefix {
-		if v, ok := m.reg.Get(a.Prefix); ok {
-			ca, okA := v.Lookup(a.Value)
-			cb, okB := v.Lookup(b.Value)
-			if okA && okB {
-				return m.conceptDistance(v, ca, cb)
-			}
-		}
-	}
-	return m.literalDistance(a.Value, b.Value)
+	var ra, rb Term
+	m.resolveTerm(&ra, a)
+	m.resolveTerm(&rb, b)
+	return m.termDistance(&ra, &rb)
 }
 
-func (m *Metric) literalDistance(a, b string) float64 {
+// ResolvedTermDistance is TermDistance over terms resolved by this
+// metric.
+func (m *Metric) ResolvedTermDistance(a, b Term) float64 {
+	return m.termDistance(&a, &b)
+}
+
+// termDistance is the kernel behind every distance of the metric.
+func (m *Metric) termDistance(a, b *Term) float64 {
+	if a.id == b.id && a.kind == b.kind &&
+		(a.kind == triple.Concept && a.prefix == b.prefix ||
+			a.kind != triple.Concept && a.litType == b.litType) {
+		return 0 // triple.Term.Equal
+	}
+	if a.kind == triple.Literal && b.kind == triple.Literal && a.litType == b.litType {
+		if m.numeric && (a.litType == triple.LitInt || a.litType == triple.LitFloat) {
+			return numericDistance(a.value, b.value)
+		}
+		return m.surfaceDistance(a, b)
+	}
+	// One space per prefix, so equal spaces mean the same vocabulary.
+	if s := a.space; s != nil && s == b.space {
+		if s.dist == nil {
+			return m.concept(s.v, a.concept, b.concept)
+		}
+		return s.dist[int(a.concept)*s.n+int(b.concept)]
+	}
+	return m.surfaceDistance(a, b)
+}
+
+// surfaceDistance is the normalized Levenshtein distance of the two
+// surface forms, memoized by their interned IDs.
+func (m *Metric) surfaceDistance(a, b *Term) float64 {
+	if a.id == b.id {
+		return 0
+	}
 	if !m.useCache {
-		return NormalizedLevenshtein(a, b)
+		return NormalizedLevenshtein(a.value, b.value)
 	}
-	if b < a {
-		a, b = b, a
+	memo := m.pairs
+	if a.anchor || b.anchor {
+		memo = m.anchorPairs
 	}
-	key := a + "\x00" + b
-	if d, ok := m.litCache.Load(key); ok {
-		return d.(float64)
+	key := pairKey(a.id, b.id)
+	if d, ok := memo.get(key); ok {
+		return d
 	}
-	d := NormalizedLevenshtein(a, b)
-	m.litCache.Store(key, d)
+	d := NormalizedLevenshtein(a.value, b.value)
+	memo.put(key, d)
 	return d
 }
 
-func (m *Metric) conceptDistance(v *vocab.Vocabulary, a, b vocab.ConceptID) float64 {
-	if !m.useCache {
-		return m.concept(v, a, b)
+// space returns the concept space of the vocabulary registered under
+// prefix, building it on first use, or nil when no vocabulary is
+// registered under it.
+func (m *Metric) space(prefix string) *conceptSpace {
+	m.spaceMu.Lock()
+	defer m.spaceMu.Unlock()
+	if s, ok := m.spaces[prefix]; ok {
+		return s
 	}
-	mat := m.matrix(v)
-	return mat[int(a)*v.Len()+int(b)]
-}
-
-// matrix returns (building on first use) the dense pairwise distance
-// matrix for vocabulary v. Vocabularies are small (tens to a few
-// hundred concepts), so the matrix is cheap and makes the hot path an
-// array load.
-func (m *Metric) matrix(v *vocab.Vocabulary) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mat, ok := m.matrices[v]; ok {
-		return mat
+	v, ok := m.reg.Get(prefix)
+	if !ok {
+		return nil
 	}
-	n := v.Len()
-	mat := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := m.concept(v, vocab.ConceptID(i), vocab.ConceptID(j))
-			mat[i*n+j] = d
-			mat[j*n+i] = d
+	s := &conceptSpace{v: v, n: v.Len()}
+	if m.useCache {
+		n := s.n
+		s.dist = make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				d := m.concept(v, vocab.ConceptID(i), vocab.ConceptID(j))
+				s.dist[i*n+j] = d
+				s.dist[j*n+i] = d
+			}
 		}
 	}
-	m.matrices[v] = mat
-	return mat
+	m.spaces[prefix] = s
+	return s
 }
 
 func numericDistance(a, b string) float64 {

@@ -1,7 +1,6 @@
 package semdist
 
 import (
-	"math/rand"
 	"testing"
 
 	"semtree/internal/triple"
@@ -164,24 +163,6 @@ func TestNumericLiteralsOption(t *testing.T) {
 	}
 	if !close(dNum, 1.0/201.0) {
 		t.Errorf("numeric = %f, want 1/201", dNum)
-	}
-}
-
-func TestCacheConsistency(t *testing.T) {
-	cached := testMetric(t, Options{})
-	raw := testMetric(t, Options{DisableCache: true})
-	r := rand.New(rand.NewSource(5))
-	v := vocab.Functions()
-	names := make([]string, 0, v.Len())
-	for i := 0; i < v.Len(); i++ {
-		names = append(names, v.Name(vocab.ConceptID(i)))
-	}
-	for trial := 0; trial < 300; trial++ {
-		a := triple.NewConcept("Fun", names[r.Intn(len(names))])
-		b := triple.NewConcept("Fun", names[r.Intn(len(names))])
-		if dc, dr := cached.TermDistance(a, b), raw.TermDistance(a, b); dc != dr {
-			t.Fatalf("cache changed result for (%s, %s): %f vs %f", a.Value, b.Value, dc, dr)
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"semtree/internal/semdist"
 	"semtree/internal/triple"
 )
 
@@ -115,6 +116,12 @@ func (ix *Index) MatchPattern(ctx context.Context, p Pattern, d float64, limit i
 	if err != nil {
 		return nil, err
 	}
+	var bound [3]semdist.Term
+	for i, t := range terms {
+		if t != nil {
+			bound[i] = ix.metric.ResolveTerm(*t)
+		}
+	}
 	var out []Match
 	for _, c := range cands {
 		boundDist := 0.0
@@ -122,7 +129,7 @@ func (ix *Index) MatchPattern(ctx context.Context, p Pattern, d float64, limit i
 			if t == nil {
 				continue
 			}
-			boundDist += weights[i] * ix.metric.TermDistance(*t, c.Triple.Project(i))
+			boundDist += weights[i] * ix.metric.ResolvedTermDistance(bound[i], ix.metric.ResolveTerm(c.Triple.Project(i)))
 		}
 		if boundDist <= d+1e-12 {
 			c.Dist = boundDist

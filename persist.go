@@ -71,15 +71,28 @@ func Save(w io.Writer, ix *Index) error {
 	if err != nil {
 		return fmt.Errorf("semtree: save: %w", err)
 	}
-	if treeSnap.Size != int64(len(entries)) {
-		return fmt.Errorf("semtree: tree snapshot holds %d points but %d triples are stored "+
-			"(index mutated during Save?)", treeSnap.Size, len(entries))
+	// The tree's size counter and its partitions are captured at
+	// different moments, so an Insert racing the capture can leave a
+	// point in the buckets that the entry table lacks. Load rejects such
+	// a snapshot; report the mutation instead of writing it.
+	points, stray := int64(0), false
+	for pi := range treeSnap.Parts {
+		for ni := range treeSnap.Parts[pi].Nodes {
+			for _, pt := range treeSnap.Parts[pi].Nodes[ni].Bucket {
+				points++
+				stray = stray || pt.ID >= uint64(len(entries))
+			}
+		}
+	}
+	if treeSnap.Size != int64(len(entries)) || points != treeSnap.Size || stray {
+		return fmt.Errorf("semtree: tree snapshot holds %d points (size %d) but %d triples are stored "+
+			"(index mutated during Save?)", points, treeSnap.Size, len(entries))
 	}
 	snap := indexSnapshot{
 		Version: snapshotVersion,
 		Options: ix.opts,
 		Entries: entries,
-		Mapper:  ix.mapper.Snapshot(),
+		Mapper:  ix.pivots,
 		Coords:  coords,
 		Tree:    treeSnap,
 	}
@@ -146,7 +159,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapper, err := fastmap.FromSnapshot(snap.Mapper, metric.Distance)
+	mapper, err := anchoredMapper(metric, snap.Mapper)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +235,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	}
 
 	return &Index{
-		store: store, metric: metric, mapper: mapper, tree: tree,
+		store: store, metric: metric, mapper: mapper, pivots: snap.Mapper, tree: tree,
 		dims: snap.Options.Dims, opts: snap.Options, coords: snap.Coords,
 	}, nil
 }

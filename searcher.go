@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"semtree/internal/core"
+	"semtree/internal/semdist"
 	"semtree/internal/triple"
 )
 
@@ -436,10 +437,13 @@ func (s *Searcher) SearchBatch(ctx context.Context, qs []triple.Triple) ([]Resul
 	workers := s.opts.Parallelism
 
 	// Phase 1: amortize the FastMap embedding across the batch. Map is
-	// immutable after Build, so the pool needs no coordination.
+	// immutable after Build, so the pool needs no coordination. Each
+	// query is resolved once, here; exact re-rank reuses it.
 	coords := make([][]float64, len(qs))
+	resolved := make([]semdist.Triple, len(qs))
 	_ = core.RunBatch(ctx, len(qs), workers, func(i int) error {
-		coords[i] = s.ix.mapper.Map(qs[i])
+		resolved[i] = s.ix.metric.Resolve(qs[i])
+		coords[i] = s.ix.mapper.Map(resolved[i])
 		return nil
 	})
 
@@ -476,7 +480,7 @@ func (s *Searcher) SearchBatch(ctx context.Context, qs []triple.Triple) ([]Resul
 		}
 		if !s.rangeMode && s.opts.ExactFactor > 0 {
 			for j := range ms {
-				ms[j].Dist = s.ix.metric.Distance(qs[i], ms[j].Triple)
+				ms[j].Dist = s.ix.metric.ResolvedDistance(resolved[i], s.ix.metric.Resolve(ms[j].Triple))
 			}
 			out[i].Stats.DistanceEvals += int64(len(ms))
 			sortMatches(ms)
