@@ -17,7 +17,7 @@ test:
 # The dedicated race sweep over the concurrent packages, mirroring the
 # race-sweep CI job: halt on the first report, run everything twice.
 race:
-	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/
+	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ . ./internal/serve/
 
 # The semtree invariant analyzers, driven through `go vet -vettool` so
 # test files are covered and results are cached per package. For a

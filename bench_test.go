@@ -128,7 +128,7 @@ func BenchmarkFig5DistKNN(b *testing.B) {
 			tr.Flush()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tr.KNearest(context.Background(), queries[i%len(queries)].Coords, 3); err != nil {
+				if _, _, err := tr.KNearest(context.Background(), queries[i%len(queries)].Coords, 3); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -138,9 +138,9 @@ func BenchmarkFig5DistKNN(b *testing.B) {
 
 // BenchmarkKNearestBatch measures the batched query surface of the
 // concurrent query engine on a 5-partition tree (4 data partitions +
-// root): "loop" issues the queries one synchronous KNearest at a time,
-// "batch" pushes the same workload through KNearestBatch's bounded
-// worker pool. On a multi-core runner the batch should sustain well
+// root): "loop" issues the queries one synchronous Tree.KNearest at a
+// time, "batch" pushes the same workload through
+// Scheduler.KNearestBatch's bounded worker pool. On a multi-core runner the batch should sustain well
 // over 1.5× the loop's throughput.
 func BenchmarkKNearestBatch(b *testing.B) {
 	pts := benchPoints(b, 20000)
@@ -167,16 +167,19 @@ func BenchmarkKNearestBatch(b *testing.B) {
 	b.Run("loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range qs {
-				if _, err := tr.KNearest(context.Background(), q, 3); err != nil {
+				if _, _, err := tr.KNearest(context.Background(), q, 3); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
+		sched := tr.NewScheduler(core.SchedulerConfig{})
 		for i := 0; i < b.N; i++ {
-			if _, err := tr.KNearestBatch(context.Background(), qs, 3, 0); err != nil {
-				b.Fatal(err)
+			for _, r := range sched.KNearestBatch(context.Background(), qs, 3, 0) {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
 			}
 		}
 	})
@@ -267,7 +270,7 @@ func BenchmarkFig7DistRange(b *testing.B) {
 			tr.Flush()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tr.RangeSearch(context.Background(), queries[i%len(queries)].Coords, 0.2); err != nil {
+				if _, _, err := tr.RangeSearch(context.Background(), queries[i%len(queries)].Coords, 0.2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -287,7 +290,7 @@ func BenchmarkFig8Effectiveness(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer idx.Close()
-	checker := reqcheck.NewChecker(idx, reg)
+	checker := reqcheck.NewChecker(reqcheck.SemTree(idx.Searcher()), reg)
 	if len(bundle.Planted) == 0 {
 		b.Fatal("no planted conflicts")
 	}

@@ -107,7 +107,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		checker := reqcheck.NewChecker(idx, reg)
+		checker := reqcheck.NewChecker(reqcheck.SemTree(idx.Searcher()), reg)
 		cands, ok, err := checker.Candidates(context.Background(), req, *k)
 		if err != nil {
 			fatal(err)
@@ -127,16 +127,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var matches []semtree.Match
+		opts := []semtree.SearchOption{semtree.WithK(*k)}
 		if *rangeD > 0 {
-			matches, err = idx.Range(context.Background(), q, *rangeD)
-		} else {
-			matches, err = idx.KNearest(context.Background(), q, *k)
+			opts = []semtree.SearchOption{semtree.WithRadius(*rangeD)}
 		}
+		res, err := idx.Searcher(opts...).Search(context.Background(), q)
 		if err != nil {
 			fatal(err)
 		}
-		for _, m := range matches {
+		for _, m := range res.Matches {
 			fmt.Printf("  %.4f  %s\n", m.Dist, m.Triple)
 		}
 	}

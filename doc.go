@@ -91,7 +91,8 @@
 //
 //	store := triple.NewStore()            // fill with triples …
 //	idx, err := semtree.Build(store, semtree.Options{})
-//	matches, err := idx.KNearest(ctx, queryTriple, 3)
+//	res, err := idx.Searcher(semtree.WithK(3)).Search(ctx, queryTriple)
+//	for _, m := range res.Matches { … }    // ranked, with distance and provenance
 //
 // Serving a query stream with deadlines and per-query stats:
 //
@@ -109,8 +110,8 @@
 //	near := idx.Searcher(semtree.WithRadius(0.35))
 //	exact := idx.Searcher(semtree.WithK(5), semtree.WithExactFactor(4))
 //
-// The one-shot helpers KNearest, Range, KNearestExact and KNearestIDs
-// are thin wrappers over a Searcher.
+// Searcher is the index's one query surface; MatchPattern answers
+// wildcard patterns on top of its range mode.
 //
 // The distributed machinery (partitions, build partition,
 // cross-partition search), the substrates (vocabularies, distance

@@ -36,11 +36,11 @@ func ExampleBuild() {
 	defer idx.Close()
 
 	query, _ := triple.ParseTriple("('OBSW001', Fun:block_cmd, CmdType:start-up)")
-	matches, err := idx.KNearest(context.Background(), query, 1)
+	res, err := idx.Searcher(semtree.WithK(1)).Search(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(matches[0].Triple)
+	fmt.Println(res.Matches[0].Triple)
 	// Output: ('OBSW001', Fun:accept_cmd, CmdType:start-up)
 }
 
@@ -71,9 +71,9 @@ func ExampleIndex_MatchPattern() {
 	// Output: 2 matches
 }
 
-// ExampleIndex_KNearestIDs shows the inconsistency checker over an
-// index: the target triple's neighborhood contains the conflict.
-func ExampleIndex_KNearestIDs() {
+// ExampleSearcher_inconsistency shows the inconsistency checker over a
+// searcher: the target triple's neighborhood contains the conflict.
+func ExampleSearcher_inconsistency() {
 	store := triple.NewStore()
 	req, _ := triple.ParseTriple("('OBSW001', Fun:accept_cmd, CmdType:start-up)")
 	conflict, _ := triple.ParseTriple("('OBSW001', Fun:block_cmd, CmdType:start-up)")
@@ -87,7 +87,7 @@ func ExampleIndex_KNearestIDs() {
 	defer idx.Close()
 
 	reg := vocab.DefaultRegistry()
-	checker := reqcheck.NewChecker(idx, reg)
+	checker := reqcheck.NewChecker(reqcheck.SemTree(idx.Searcher()), reg)
 	cands, _, err := checker.Candidates(context.Background(), req, 2)
 	if err != nil {
 		log.Fatal(err)

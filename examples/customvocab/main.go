@@ -98,7 +98,7 @@ func main() {
 	fmt.Printf("indexed %d clinical assertions over vocabularies %v\n\n",
 		idx.Len(), reg.Prefixes())
 
-	checker := reqcheck.NewChecker(idx, reg)
+	checker := reqcheck.NewChecker(reqcheck.SemTree(idx.Searcher()), reg)
 	fmt.Println("contradiction scan:")
 	store.Each(func(id triple.ID, e triple.Entry) bool {
 		cands, ok, err := checker.Candidates(context.Background(), e.Triple, 3)

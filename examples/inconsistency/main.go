@@ -35,7 +35,7 @@ func main() {
 	}
 	defer idx.Close()
 
-	checker := reqcheck.NewChecker(idx, reg)
+	checker := reqcheck.NewChecker(reqcheck.SemTree(idx.Searcher()), reg)
 	store := bundle.Corpus.Store
 
 	// Walk the planted pairs: query with each requirement's target
@@ -84,7 +84,7 @@ func main() {
 			queries = append(queries, reqcheck.Query{Requirement: p.Requirement, GroundTruth: gt})
 		}
 	}
-	points, err := reqcheck.Evaluate(context.Background(), idx, store, reg, queries, []int{1, 3, 5, 10, 20})
+	points, err := reqcheck.Evaluate(context.Background(), reqcheck.SemTree(idx.Searcher()), store, reg, queries, []int{1, 3, 5, 10, 20})
 	if err != nil {
 		log.Fatal(err)
 	}

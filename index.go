@@ -51,8 +51,6 @@ type Options struct {
 	// Unbalanced selects the degenerate chain split policy (the
 	// paper's "totally unbalanced" configuration; for benchmarks).
 	Unbalanced bool
-	// BatchSize is the bulk-load pipeline batch (default 64).
-	BatchSize int
 }
 
 // Match is one retrieval result: a stored triple, its provenance, and
@@ -78,6 +76,12 @@ type Index struct {
 	dims   int
 	opts   persistedOptions
 
+	// ingest pairs the store with the tree: Insert and BulkAdd hold it
+	// shared from the store write through the tree insert, and Save
+	// holds it exclusively from the store capture through the tree
+	// capture, so a snapshot never holds a stored triple the tree lacks
+	// (or the reverse). Ingests still run concurrently with each other.
+	ingest sync.RWMutex
 	// mu guards coords AND the store↔coords pairing: Insert and
 	// BulkAdd write the store and the embedding table under one
 	// critical section, and Save reads both under it, so a snapshot
@@ -211,6 +215,8 @@ func (e ErrUnindexedID) Error() string {
 // such an ID fails with ErrUnindexedID naming it.
 func (ix *Index) Insert(t triple.Triple, prov triple.Provenance) (triple.ID, error) {
 	c := ix.embed(t)
+	ix.ingest.RLock()
+	defer ix.ingest.RUnlock()
 	// Store write and embedding append happen under one critical
 	// section: a concurrent Save must never observe the triple in the
 	// store without its coordinate row (or the reverse).
@@ -237,10 +243,9 @@ type BulkItem struct {
 
 // BulkAdd ingests a batch of triples in one pass: the embeddings are
 // computed by a bounded worker pool, the store and embedding table are
-// extended atomically (a concurrent Save sees all of the batch or none
-// of it), and the images enter the distributed tree through its sorted
-// bulk loader — balanced fragment grafts instead of per-point split
-// cascades. Returned IDs are positional: ids[i] is items[i]. The
+// extended atomically, and the images enter the distributed tree
+// through its sorted bulk loader — balanced fragment grafts instead of
+// per-point split cascades. Returned IDs are positional: ids[i] is items[i]. The
 // context bounds the tree load; triples already committed to the store
 // when it expires stay stored (re-running the load is idempotent only
 // at the store level), so treat a context error as a partial ingest.
@@ -259,6 +264,10 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	}
 	ids := make([]triple.ID, len(items))
 	points := make([]kdtree.Point, len(items))
+	// A concurrent Save waits for the whole batch: it sees all of it or
+	// none of it.
+	ix.ingest.RLock()
+	defer ix.ingest.RUnlock()
 	ix.mu.Lock()
 	for i, it := range items {
 		id := ix.store.Add(it.Triple, it.Prov)
@@ -272,48 +281,6 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	ix.mu.Unlock()
 	if err := ix.tree.BulkLoad(ctx, points); err != nil {
 		return ids, fmt.Errorf("semtree: bulk add: %w", err)
-	}
-	return ids, nil
-}
-
-// KNearest returns the k stored triples closest to q, ascending by
-// embedded distance. Thin wrapper over Searcher; k <= 0 returns nil.
-// The context bounds the query (cancellation and deadline).
-func (ix *Index) KNearest(ctx context.Context, q triple.Triple, k int) ([]Match, error) {
-	return matchesOf(ix.Searcher(WithK(k)).Search(ctx, q))
-}
-
-// Range returns every stored triple within embedded distance d of q,
-// ascending by distance. Since the embedding approximates the semantic
-// distance, d is on the Eq. 1 scale ([0, 1]-ish). Thin wrapper over
-// Searcher.
-func (ix *Index) Range(ctx context.Context, q triple.Triple, d float64) ([]Match, error) {
-	// ModeRange keeps d == 0 meaning "exact embedded matches only".
-	return matchesOf(ix.Searcher(WithMode(ModeRange), WithRadius(d)).Search(ctx, q))
-}
-
-// KNearestExact returns the k stored triples closest to q under the
-// *exact* Eq. 1 distance: it fetches factor·k candidates from the
-// embedded index (factor < 2 is raised to 2, and the candidate count is
-// clamped to Len so a huge factor cannot overflow or over-request) and
-// re-ranks them with the true metric. This trades extra distance
-// evaluations for accuracy — the re-ranking ablation quantifies the
-// gain over plain KNearest. k <= 0 returns nil, like KNearest. Thin
-// wrapper over Searcher.
-func (ix *Index) KNearestExact(ctx context.Context, q triple.Triple, k, factor int) ([]Match, error) {
-	return matchesOf(ix.Searcher(WithK(k), WithExactFactor(factor)).Search(ctx, q))
-}
-
-// KNearestIDs implements the reqcheck.Index interface: ranked result
-// IDs only.
-func (ix *Index) KNearestIDs(ctx context.Context, q triple.Triple, k int) ([]triple.ID, error) {
-	ms, err := ix.KNearest(ctx, q, k)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]triple.ID, len(ms))
-	for i, m := range ms {
-		ids[i] = m.ID
 	}
 	return ids, nil
 }

@@ -5,11 +5,9 @@ import (
 	"sort"
 	"testing"
 
-	"semtree/internal/reqcheck"
 	"semtree/internal/semdist"
 	"semtree/internal/synth"
 	"semtree/internal/triple"
-	"semtree/internal/vocab"
 )
 
 func tr(s string) triple.Triple {
@@ -18,6 +16,17 @@ func tr(s string) triple.Triple {
 		panic(err)
 	}
 	return t
+}
+
+// search answers one query through a fresh Searcher built from opts
+// and returns its ranked matches, failing the test on error.
+func search(t *testing.T, ix *Index, q triple.Triple, opts ...SearchOption) []Match {
+	t.Helper()
+	res, err := ix.Searcher(opts...).Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matches
 }
 
 func buildTestIndex(t *testing.T, n int, opts Options) (*Index, *synth.Generator) {
@@ -53,9 +62,8 @@ func TestBuildEmptyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	got, err := ix.KNearest(context.Background(), tr("('A', Fun:accept_cmd, CmdType:start-up)"), 3)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty index KNN = %v, %v", got, err)
+	if got := search(t, ix, tr("('A', Fun:accept_cmd, CmdType:start-up)"), WithK(3)); len(got) != 0 {
+		t.Fatalf("empty index KNN = %v", got)
 	}
 }
 
@@ -66,10 +74,7 @@ func TestKNearestFindsExactDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.KNearest(context.Background(), probe, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := search(t, ix, probe, WithK(1))
 	if len(got) != 1 || got[0].Dist > 1e-9 {
 		t.Fatalf("exact duplicate not at distance 0: %+v", got)
 	}
@@ -81,57 +86,10 @@ func TestKNearestFindsExactDuplicate(t *testing.T) {
 	}
 }
 
-func TestKNearestApproximatesExactRanking(t *testing.T) {
-	// The embedded k-NN must agree well with the brute-force semantic
-	// ranking: for most queries, a large fraction of the true top-5 by
-	// Eq. 1 appears in the index's top-10.
-	ix, g := buildTestIndex(t, 800, Options{})
-	exact := reqcheck.NewExactIndex(ix.Store(), semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{}))
-	qGen := synth.New(synth.Config{Seed: 99}, nil)
-	_ = g
-	totalOverlap, queries := 0, 30
-	for q := 0; q < queries; q++ {
-		query := qGen.RandomTriple()
-		wantIDs, err := exact.KNearestIDs(context.Background(), query, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotIDs, err := ix.KNearestIDs(context.Background(), query, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[triple.ID]bool{}
-		for _, id := range gotIDs {
-			got[id] = true
-		}
-		// Compare by triple content: duplicates make ID sets ambiguous.
-		wantKeys := map[string]bool{}
-		for _, id := range wantIDs {
-			wantKeys[ix.Store().MustGet(id).Key()] = true
-		}
-		gotKeys := map[string]bool{}
-		for id := range got {
-			gotKeys[ix.Store().MustGet(id).Key()] = true
-		}
-		for k := range wantKeys {
-			if gotKeys[k] {
-				totalOverlap++
-			}
-		}
-	}
-	// On average at least 3 of the true top-5 triple values in our top-10.
-	if totalOverlap < queries*3 {
-		t.Fatalf("embedding recall too low: %d/%d", totalOverlap, queries*5)
-	}
-}
-
 func TestRangeReturnsSortedWithinRadius(t *testing.T) {
 	ix, _ := buildTestIndex(t, 600, Options{})
 	q := tr("('OBSW001', Fun:accept_cmd, CmdType:start-up)")
-	got, err := ix.Range(context.Background(), q, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := search(t, ix, q, WithRadius(0.3))
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Dist < got[j].Dist }) {
 		t.Fatal("range results not sorted")
 	}
@@ -141,10 +99,7 @@ func TestRangeReturnsSortedWithinRadius(t *testing.T) {
 		}
 	}
 	// Growing the radius can only grow the result set.
-	wider, err := ix.Range(context.Background(), q, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wider := search(t, ix, q, WithRadius(0.5))
 	if len(wider) < len(got) {
 		t.Fatalf("wider range returned fewer results: %d < %d", len(wider), len(got))
 	}
@@ -172,14 +127,8 @@ func TestPartitionedIndexMatchesSinglePartition(t *testing.T) {
 	qGen := synth.New(synth.Config{Seed: 77}, nil)
 	for q := 0; q < 25; q++ {
 		query := qGen.RandomTriple()
-		a, err := single.KNearest(context.Background(), query, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parted.KNearest(context.Background(), query, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := search(t, single, query, WithK(5))
+		b := search(t, parted, query, WithK(5))
 		if len(a) != len(b) {
 			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
 		}
@@ -203,40 +152,6 @@ func TestSemanticDistanceExposed(t *testing.T) {
 	}
 }
 
-func TestInconsistencyDetectionEndToEnd(t *testing.T) {
-	// The paper's full pipeline: corpus with planted conflicts →
-	// SemTree index → target-triple k-NN → confirmed inconsistencies.
-	g := synth.New(synth.Config{Seed: 41, Docs: 20, InconsistencyRate: 0.4}, nil)
-	bundle := g.Corpus()
-	ix, err := Build(bundle.Corpus.Store, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	reg := vocab.DefaultRegistry()
-	checker := reqcheck.NewChecker(ix, reg)
-	found := 0
-	for _, p := range bundle.Planted {
-		req := bundle.Corpus.Store.MustGet(p.Requirement)
-		cands, ok, err := checker.Candidates(context.Background(), req, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			continue
-		}
-		for _, id := range checker.Confirmed(req, cands, bundle.Corpus.Store) {
-			if id == p.Conflict {
-				found++
-				break
-			}
-		}
-	}
-	if found < len(bundle.Planted)*7/10 {
-		t.Fatalf("end-to-end found %d/%d planted conflicts", found, len(bundle.Planted))
-	}
-}
-
 func TestCustomMeasureAndWeights(t *testing.T) {
 	g := synth.New(synth.Config{Seed: 55}, nil)
 	store := triple.NewStore()
@@ -251,8 +166,8 @@ func TestCustomMeasureAndWeights(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%s): %v", measure, err)
 		}
-		if _, err := ix.KNearest(context.Background(), tr("('OBSW001', Fun:accept_cmd, CmdType:start-up)"), 3); err != nil {
-			t.Fatalf("KNearest(%s): %v", measure, err)
+		if _, err := ix.Searcher(WithK(3)).Search(context.Background(), tr("('OBSW001', Fun:accept_cmd, CmdType:start-up)")); err != nil {
+			t.Fatalf("Search(%s): %v", measure, err)
 		}
 		ix.Close()
 	}

@@ -39,7 +39,7 @@ func AblationWeights(ctx context.Context, p Params) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		points, err := reqcheck.Evaluate(ctx, idx, bundle.Corpus.Store, vocab.DefaultRegistry(), queries, []int{ablationK})
+		points, err := reqcheck.Evaluate(ctx, reqcheck.SemTree(idx.Searcher()), bundle.Corpus.Store, vocab.DefaultRegistry(), queries, []int{ablationK})
 		idx.Close()
 		if err != nil {
 			return nil, err
@@ -208,7 +208,7 @@ func AblationMeasure(ctx context.Context, p Params) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		points, err := reqcheck.Evaluate(ctx, idx, bundle.Corpus.Store, vocab.DefaultRegistry(), queries, []int{ablationK})
+		points, err := reqcheck.Evaluate(ctx, reqcheck.SemTree(idx.Searcher()), bundle.Corpus.Store, vocab.DefaultRegistry(), queries, []int{ablationK})
 		idx.Close()
 		if err != nil {
 			return nil, err

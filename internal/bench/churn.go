@@ -196,7 +196,7 @@ func Churn(ctx context.Context, p Params) (*Figure, error) {
 				}
 				q := data.queries[op%len(data.queries)]
 				qs := time.Now()
-				if _, err := tr.KNearest(ctx, q, p.K); err != nil {
+				if _, _, err := tr.KNearest(ctx, q, p.K); err != nil {
 					tr.Close()
 					return nil, fmt.Errorf("churn: query under mix %d%%: %w", mix, err)
 				}
@@ -228,7 +228,7 @@ func Churn(ctx context.Context, p Params) (*Figure, error) {
 func queryAll(ctx context.Context, tr *core.Tree, queries [][]float64, k int) ([][]kdtree.Neighbor, error) {
 	var out [][]kdtree.Neighbor
 	for _, q := range queries {
-		ns, err := tr.KNearest(ctx, q, k)
+		ns, _, err := tr.KNearest(ctx, q, k)
 		if err != nil {
 			return nil, err
 		}

@@ -69,7 +69,7 @@ func Fig8(ctx context.Context, p Params) (*Figure, error) {
 	defer idx.Close()
 
 	reg := vocab.DefaultRegistry()
-	points, err := reqcheck.Evaluate(ctx, idx, bundle.Corpus.Store, reg, queries, effectivenessKs)
+	points, err := reqcheck.Evaluate(ctx, reqcheck.SemTree(idx.Searcher()), bundle.Corpus.Store, reg, queries, effectivenessKs)
 	if err != nil {
 		return nil, err
 	}

@@ -234,7 +234,7 @@ func Fig7(ctx context.Context, p Params) (*Figure, error) {
 	return distributedQueryFigure(p, "fig7",
 		fmt.Sprintf("Distributed range query time (D=%.2f)", p.withDefaults().RangeD),
 		func(tr *core.Tree, q []float64, p Params) error {
-			_, err := tr.RangeSearch(ctx, q, p.RangeD)
+			_, _, err := tr.RangeSearch(ctx, q, p.RangeD)
 			return err
 		},
 		// Border nodes fan out in parallel (§III-B.4): with the bench's
@@ -251,11 +251,11 @@ func Fig7(ctx context.Context, p Params) (*Figure, error) {
 
 // Throughput measures the concurrent query engine beyond the paper's
 // figures: k-nearest queries/second of a sequential loop of
-// Tree.KNearest calls vs Tree.KNearestBatch's bounded worker pool, per
-// partition count. This is the §III-C scaling claim ("using M−1 data
-// partitions, we can perform in the best case M−1 parallel operations
-// maximizing our throughput") applied to the query path; the loop
-// series is the baseline a single synchronous client achieves.
+// Tree.KNearest calls vs Scheduler.KNearestBatch's bounded worker
+// pool, per partition count. This is the §III-C scaling claim ("using
+// M−1 data partitions, we can perform in the best case M−1 parallel
+// operations maximizing our throughput") applied to the query path;
+// the loop series is the baseline a single synchronous client achieves.
 func Throughput(ctx context.Context, p Params) (*Figure, error) {
 	p = p.withDefaults()
 	data, err := makeSweep(maxSize(p.Sizes), p.Queries, p.Dims, p.Seed)
@@ -286,13 +286,14 @@ func Throughput(ctx context.Context, p Params) (*Figure, error) {
 			}
 			loopQPS, err := measureQPS(data.queries, func(qs [][]float64) error {
 				for _, q := range qs {
-					if _, err := tr.KNearest(ctx, q, p.K); err != nil {
+					if _, _, err := tr.KNearest(ctx, q, p.K); err != nil {
 						return err
 					}
 				}
 				return nil
 			})
 			if err == nil {
+				sched := tr.NewScheduler(core.SchedulerConfig{})
 				var batchQPS float64
 				batchQPS, err = measureQPS(data.queries, func(qs [][]float64) error {
 					bs := batchSize(p, len(qs))
@@ -301,8 +302,10 @@ func Throughput(ctx context.Context, p Params) (*Figure, error) {
 						if end > len(qs) {
 							end = len(qs)
 						}
-						if _, berr := tr.KNearestBatch(ctx, qs[start:end], p.K, workers); berr != nil {
-							return berr
+						for _, r := range sched.KNearestBatch(ctx, qs[start:end], p.K, workers) {
+							if r.Err != nil {
+								return r.Err
+							}
 						}
 					}
 					return nil

@@ -27,33 +27,17 @@ type InProcOptions struct {
 	CountBytes bool
 	// Seed makes jitter and failure injection deterministic.
 	Seed int64
-	// NodeWorkers is the number of mailbox workers per node processing
-	// Send messages. Default 1: a node is a single-threaded compute
-	// rank, which is what makes partition parallelism measurable.
-	NodeWorkers int
-	// WorkCost is slept by a mailbox worker for every Send message it
-	// processes, on top of the real handler time: simulated CPU cost of
-	// one message on a compute rank.
-	WorkCost time.Duration
-	// MailboxSize is the per-node queue capacity. Default 1024.
-	MailboxSize int
 }
 
-func (o InProcOptions) withDefaults() InProcOptions {
-	if o.NodeWorkers <= 0 {
-		o.NodeWorkers = 1
-	}
-	if o.MailboxSize <= 0 {
-		o.MailboxSize = 1024
-	}
-	return o
-}
+// mailboxSize is the per-node queue capacity of Send messages.
+const mailboxSize = 1024
 
 // InProc is an in-process Fabric. Call invokes the handler
 // synchronously on the caller's goroutine after the simulated transit
 // delay (a multithreaded RPC endpoint); Send enqueues into the target
-// node's mailbox, processed by NodeWorkers workers (a message-passing
-// rank). It is safe for concurrent use.
+// node's mailbox, processed by one worker: a node is a single-threaded
+// message-passing rank, which is what makes partition parallelism
+// measurable. It is safe for concurrent use.
 type InProc struct {
 	opts    InProcOptions
 	latency atomic.Int64 // current per-message transit, adjustable at runtime
@@ -86,7 +70,7 @@ type mailboxMsg struct {
 // NewInProc returns an in-process fabric.
 func NewInProc(opts InProcOptions) *InProc {
 	f := &InProc{
-		opts: opts.withDefaults(),
+		opts: opts,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 	}
 	f.latency.Store(int64(opts.Latency))
@@ -110,24 +94,19 @@ func (f *InProc) AddNode(h Handler) (NodeID, error) {
 	if f.closed {
 		return 0, ErrClosed
 	}
-	n := &inprocNode{handler: h, mailbox: make(chan mailboxMsg, f.opts.MailboxSize)}
+	n := &inprocNode{handler: h, mailbox: make(chan mailboxMsg, mailboxSize)}
 	id := NodeID(len(f.nodes))
 	f.nodes = append(f.nodes, n)
-	for w := 0; w < f.opts.NodeWorkers; w++ {
-		n.done.Add(1)
-		go f.work(n, id)
-	}
+	n.done.Add(1)
+	go f.work(n)
 	return id, nil
 }
 
-// work is one mailbox worker: it serializes the node's asynchronous
-// message processing, charging WorkCost per message.
-func (f *InProc) work(n *inprocNode, id NodeID) {
+// work is the node's mailbox worker: it serializes the node's
+// asynchronous message processing.
+func (f *InProc) work(n *inprocNode) {
 	defer n.done.Done()
 	for msg := range n.mailbox {
-		if f.opts.WorkCost > 0 {
-			time.Sleep(f.opts.WorkCost)
-		}
 		// One-way: response discarded; no caller context to honor.
 		//semtree:allow ctxfirst: mailbox deliveries run detached by the documented Fabric.Send contract
 		_, _ = n.handler(context.Background(), msg.from, msg.req)

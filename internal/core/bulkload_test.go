@@ -83,11 +83,11 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			}
 			for trial := 0; trial < 15; trial++ {
 				q := clusteredPoints(r, 1, dim, 4)[0].Coords
-				a, err := bulk.RangeSearch(context.Background(), q, 8)
+				a, _, err := bulk.RangeSearch(context.Background(), q, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := incr.RangeSearch(context.Background(), q, 8)
+				b, _, err := incr.RangeSearch(context.Background(), q, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,14 +147,14 @@ func TestBulkLoadIntoLiveTree(t *testing.T) {
 
 			for trial := 0; trial < 25; trial++ {
 				q := clusteredPoints(r, 1, dim, 3)[0].Coords
-				a, err := live.KNearest(context.Background(), q, 6)
+				a, _, err := live.KNearest(context.Background(), q, 6)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := bruteKNN(all, q, 6); !sameIDSets(a, want) {
 					t.Fatalf("trial %d: merged tree disagrees with brute force", trial)
 				}
-				b, err := incr.KNearest(context.Background(), q, 6)
+				b, _, err := incr.KNearest(context.Background(), q, 6)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -194,7 +194,7 @@ func TestBulkLoadRepeatedBatches(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		q := clusteredPoints(r, 1, dim, 3)[0].Coords
-		got, err := tr.KNearest(context.Background(), q, 5)
+		got, _, err := tr.KNearest(context.Background(), q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestBulkLoadChurnConcurrent(t *testing.T) {
 			qr := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				q := clusteredPoints(qr, 1, dim, clusters)[0].Coords
-				ns, err := tr.KNearest(context.Background(), q, 5)
+				ns, _, err := tr.KNearest(context.Background(), q, 5)
 				if err != nil {
 					errc <- err
 					return
@@ -340,7 +340,7 @@ func TestBulkLoadChurnConcurrent(t *testing.T) {
 	}
 	for trial := 0; trial < 15; trial++ {
 		q := clusteredPoints(r, 1, dim, clusters)[0].Coords
-		got, err := tr.KNearest(context.Background(), q, 5)
+		got, _, err := tr.KNearest(context.Background(), q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

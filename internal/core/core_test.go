@@ -75,18 +75,18 @@ func TestInsertValidation(t *testing.T) {
 	if err := tr.Insert(kdtree.Point{Coords: []float64{1}}); err == nil {
 		t.Fatal("wrong dimensionality accepted")
 	}
-	if _, err := tr.KNearest(context.Background(), []float64{1}, 3); err == nil {
+	if _, _, err := tr.KNearest(context.Background(), []float64{1}, 3); err == nil {
 		t.Fatal("wrong query dimensionality accepted")
 	}
 }
 
 func TestEmptyTreeQueries(t *testing.T) {
 	tr := mustTree(t, Config{Dim: 2})
-	got, err := tr.KNearest(context.Background(), []float64{0, 0}, 3)
+	got, _, err := tr.KNearest(context.Background(), []float64{0, 0}, 3)
 	if err != nil || got != nil {
 		t.Fatalf("empty KNN = %v, %v", got, err)
 	}
-	rng, err := tr.RangeSearch(context.Background(), []float64{0, 0}, 5)
+	rng, _, err := tr.RangeSearch(context.Background(), []float64{0, 0}, 5)
 	if err != nil || rng != nil {
 		t.Fatalf("empty range = %v, %v", rng, err)
 	}
@@ -113,7 +113,7 @@ func TestSinglePartitionMatchesSequentialOracle(t *testing.T) {
 	}
 	for q := 0; q < 40; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 5)
+		got, _, err := tr.KNearest(context.Background(), query, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestSinglePartitionMatchesSequentialOracle(t *testing.T) {
 			t.Fatalf("KNN mismatch:\ngot  %v\nwant %v", got, want)
 		}
 		d := r.Float64() * 40
-		gotR, err := tr.RangeSearch(context.Background(), query, d)
+		gotR, _, err := tr.RangeSearch(context.Background(), query, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestPartitionedMatchesOracleProperty(t *testing.T) {
 				query[d] = r.Float64() * 100
 			}
 			k := 1 + r.Intn(10)
-			got, err := tr.KNearest(context.Background(), query, k)
+			got, _, err := tr.KNearest(context.Background(), query, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestPartitionedMatchesOracleProperty(t *testing.T) {
 					trial, n, tr.PartitionCount(), capacity, got, want)
 			}
 			d := r.Float64() * 30
-			gotR, err := tr.RangeSearch(context.Background(), query, d)
+			gotR, _, err := tr.RangeSearch(context.Background(), query, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +292,7 @@ func TestConcurrentInsertsMatchOracle(t *testing.T) {
 	}
 	for q := 0; q < 25; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 7)
+		got, _, err := tr.KNearest(context.Background(), query, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +314,11 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 400; i++ {
 			q := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-			if _, err := tr.KNearest(context.Background(), q, 3); err != nil {
+			if _, _, err := tr.KNearest(context.Background(), q, 3); err != nil {
 				t.Errorf("query during inserts: %v", err)
 				return
 			}
-			if _, err := tr.RangeSearch(context.Background(), q, 10); err != nil {
+			if _, _, err := tr.RangeSearch(context.Background(), q, 10); err != nil {
 				t.Errorf("range during inserts: %v", err)
 				return
 			}
@@ -347,7 +347,7 @@ func TestUnbalancedChainHeight(t *testing.T) {
 		t.Fatalf("chain height = %d, want ~50 (degenerate)", h)
 	}
 	// And still answer correctly.
-	got, err := tr.KNearest(context.Background(), []float64{100.2, 0}, 3)
+	got, _, err := tr.KNearest(context.Background(), []float64{100.2, 0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestFailureInjectionWithRetries(t *testing.T) {
 	}
 	for q := 0; q < 10; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 5)
+		got, _, err := tr.KNearest(context.Background(), query, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,14 +424,14 @@ func TestOverTCPFabric(t *testing.T) {
 	}
 	for q := 0; q < 10; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 4)
+		got, _, err := tr.KNearest(context.Background(), query, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := bruteKNN(pts, query, 4); !sameDistances(got, want) {
 			t.Fatal("KNN mismatch over TCP")
 		}
-		gotR, err := tr.RangeSearch(context.Background(), query, 20)
+		gotR, _, err := tr.RangeSearch(context.Background(), query, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,10 +506,10 @@ func TestAsyncInsertMatchesOracle(t *testing.T) {
 		Dim: 3, BucketSize: 8,
 		PartitionCapacity: 250, MaxPartitions: 8,
 	})
-	for _, p := range pts {
-		if err := tr.InsertAsync(p); err != nil {
-			t.Fatal(err)
-		}
+	// Batches of one: every point travels the one-way pipeline alone,
+	// as its own fire-and-forget message and forwards.
+	if err := tr.InsertBatchAsync(pts, 1); err != nil {
+		t.Fatal(err)
 	}
 	tr.Flush()
 	st, err := tr.Stats()
@@ -524,7 +524,7 @@ func TestAsyncInsertMatchesOracle(t *testing.T) {
 	}
 	for q := 0; q < 25; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 5)
+		got, _, err := tr.KNearest(context.Background(), query, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -564,7 +564,7 @@ func TestVirtualFabricCorrectness(t *testing.T) {
 	}
 	for q := 0; q < 20; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 5)
+		got, _, err := tr.KNearest(context.Background(), query, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

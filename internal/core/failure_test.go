@@ -29,14 +29,14 @@ func TestQueriesUnderFailureInjection(t *testing.T) {
 	}
 	for q := 0; q < 30; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 5)
+		got, _, err := tr.KNearest(context.Background(), query, 5)
 		if err != nil {
 			t.Fatalf("KNN under failures: %v", err)
 		}
 		if want := bruteKNN(pts, query, 5); !sameDistances(got, want) {
 			t.Fatal("KNN wrong under failures")
 		}
-		gotR, err := tr.RangeSearch(context.Background(), query, 15)
+		gotR, _, err := tr.RangeSearch(context.Background(), query, 15)
 		if err != nil {
 			t.Fatalf("range under failures: %v", err)
 		}
@@ -66,7 +66,7 @@ func TestQueryFailsWhenRetriesExhausted(t *testing.T) {
 	// Close the fabric out from under the tree: every cross-partition
 	// call now fails permanently.
 	fabric.Close()
-	if _, err := tr.KNearest(context.Background(), []float64{50, 50}, 3); err == nil {
+	if _, _, err := tr.KNearest(context.Background(), []float64{50, 50}, 3); err == nil {
 		t.Fatal("query on dead fabric returned no error")
 	}
 }

@@ -33,13 +33,11 @@ type childRef struct {
 }
 
 // insertReq asks a partition to insert Point into the subtree rooted at
-// its node Node. When Async is set, cross-partition forwarding uses
-// one-way mailbox messages (fire-and-forget, like the paper's MPJ
-// pipeline) instead of nested synchronous calls.
+// its node Node. Cross-partition forwards are nested synchronous calls;
+// the one-way pipeline is insertBatchReq.
 type insertReq struct {
 	Node  int32
 	Point kdtree.Point
-	Async bool
 }
 
 // insertResp acknowledges an insertion.

@@ -178,15 +178,11 @@ func (p *partition) descend(idx int32, pt []float64, path *[]int32) (leafIdx int
 // boxes covering a point that never landed: dilation is always
 // pruning-safe (a looser box only skips less), and exactness — what
 // the consistency checks assert — holds under reliable delivery,
-// matching the async path's at-most-once contract (a drop already
+// matching the batch pipeline's at-most-once contract (a drop already
 // loses the point itself).
 func (p *partition) handleInsert(r insertReq) (any, error) {
 	forward := func(ref childRef) error {
-		req := insertReq{Node: ref.Node, Point: r.Point, Async: r.Async}
-		if r.Async {
-			return p.t.fabric.Send(p.id, ref.Part, req)
-		}
-		_, err := p.t.call(p.id, ref.Part, req)
+		_, err := p.t.call(p.id, ref.Part, insertReq{Node: ref.Node, Point: r.Point})
 		return err
 	}
 	idx := r.Node
@@ -273,8 +269,7 @@ func (p *partition) handleInsertBatch(r insertBatchReq) (any, error) {
 	spill := p.capacityExceededLocked()
 	p.mu.Unlock()
 	for part, entries := range forwards {
-		// One-way, at-most-once: a drop loses the batch, mirroring the
-		// async single-insert semantics.
+		// One-way, at-most-once: a drop loses the batch.
 		_ = p.t.fabric.Send(p.id, part, insertBatchReq{Entries: entries})
 	}
 	if spill {

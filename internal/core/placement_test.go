@@ -134,11 +134,11 @@ func TestPlacementIdenticalResults(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := clusteredPoints(r, 1, 8, 6)[0].Coords
 		for _, k := range []int{1, 3, 10} {
-			want, wantSt, err := rr.knn(context.Background(), q, k, ProtocolFanOut)
+			want, wantSt, err := rr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSt, err := placed.knn(context.Background(), q, k, ProtocolFanOut)
+			got, gotSt, err := placed.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestRebalancePlacementExact(t *testing.T) {
 	checkPartitionBoxes(t, tr)
 	for trial := 0; trial < 20; trial++ {
 		q := clusteredPoints(r, 1, 6, 4)[0].Coords
-		got, err := tr.KNearest(context.Background(), q, 5)
+		got, _, err := tr.KNearest(context.Background(), q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,11 +52,11 @@ func TestKNNParallelMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := randomPoints(r, 1, 4)[0].Coords
 		for _, k := range []int{1, 3, 10, 40} {
-			seq, _, err := tr.knn(context.Background(), q, k, ProtocolSequential)
+			seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, _, err := tr.knn(context.Background(), q, k, ProtocolFanOut)
+			par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestKNNParallelMatchesSequential(t *testing.T) {
 	}
 	// Sanity: the parallel path matches the brute-force oracle too.
 	q := randomPoints(r, 1, 4)[0].Coords
-	got, err := tr.KNearest(context.Background(), q, 5)
+	got, _, err := tr.KNearest(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,25 +93,27 @@ func TestKNearestBatchMatchesLoop(t *testing.T) {
 	}
 	want := make([][]kdtree.Neighbor, len(qs))
 	for i, q := range qs {
-		ns, err := tr.KNearest(context.Background(), q, 4)
+		ns, _, err := tr.KNearest(context.Background(), q, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = ns
 	}
+	s := tr.NewScheduler(SchedulerConfig{})
 	for _, workers := range []int{0, 1, 3, 16} {
-		got, err := tr.KNearestBatch(context.Background(), qs, 4, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := s.KNearestBatch(context.Background(), qs, 4, workers)
 		for i := range qs {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("workers=%d query %d: len %d != %d", workers, i, len(got[i]), len(want[i]))
+			if res[i].Err != nil {
+				t.Fatal(res[i].Err)
 			}
-			for j := range got[i] {
-				if !sameNeighbor(got[i][j], want[i][j]) {
+			got := res[i].Neighbors
+			if len(got) != len(want[i]) {
+				t.Fatalf("workers=%d query %d: len %d != %d", workers, i, len(got), len(want[i]))
+			}
+			for j := range got {
+				if !sameNeighbor(got[j], want[i][j]) {
 					t.Fatalf("workers=%d query %d item %d: %+v != %+v",
-						workers, i, j, got[i][j], want[i][j])
+						workers, i, j, got[j], want[i][j])
 				}
 			}
 		}
@@ -128,51 +130,55 @@ func TestRangeBatchMatchesLoop(t *testing.T) {
 		qs[i] = randomPoints(r, 1, 3)[0].Coords
 	}
 	const d = 25.0
-	got, err := tr.RangeBatch(context.Background(), qs, d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := tr.NewScheduler(SchedulerConfig{}).RangeBatch(context.Background(), qs, d, 4)
 	for i, q := range qs {
-		want, err := tr.RangeSearch(context.Background(), q, d)
+		if res[i].Err != nil {
+			t.Fatal(res[i].Err)
+		}
+		got := res[i].Neighbors
+		want, _, err := tr.RangeSearch(context.Background(), q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got[i]) != len(want) {
-			t.Fatalf("query %d: len %d != %d", i, len(got[i]), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("query %d: len %d != %d", i, len(got), len(want))
 		}
 		for j := range want {
-			if !sameNeighbor(got[i][j], want[j]) {
+			if !sameNeighbor(got[j], want[j]) {
 				t.Fatalf("query %d item %d differs", i, j)
 			}
 			if j > 0 && !neighborLess(want[j-1], want[j]) && !sameNeighbor(want[j-1], want[j]) {
 				t.Fatalf("query %d: result not in (Dist, ID) order at %d", i, j)
 			}
 		}
-		if bf := bruteRange(pts, q, d); !sameIDSets(got[i], bf) {
+		if bf := bruteRange(pts, q, d); !sameIDSets(got, bf) {
 			t.Fatalf("query %d: range disagrees with oracle", i)
 		}
 	}
 }
 
-// TestBatchEmptyAndErrors: degenerate batch inputs and the
-// first-error contract.
+// TestBatchEmptyAndErrors: degenerate batch inputs, and a range batch
+// attributes a bad query's error to that query alone.
 func TestBatchEmptyAndErrors(t *testing.T) {
 	tr := mustTree(t, Config{Dim: 2})
-	if out, err := tr.KNearestBatch(context.Background(), nil, 3, 4); err != nil || len(out) != 0 {
-		t.Fatalf("empty batch: out=%v err=%v", out, err)
+	s := tr.NewScheduler(SchedulerConfig{})
+	if out := s.KNearestBatch(context.Background(), nil, 3, 4); len(out) != 0 {
+		t.Fatalf("empty k-NN batch: out=%v", out)
+	}
+	if out := s.RangeBatch(context.Background(), nil, 1, 4); len(out) != 0 {
+		t.Fatalf("empty range batch: out=%v", out)
 	}
 	// A query with the wrong dimensionality errors without poisoning
 	// the rest of the batch.
 	if err := tr.Insert(kdtree.Point{Coords: []float64{1, 2}, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	qs := [][]float64{{1, 2}, {3}, {4, 5}}
-	out, err := tr.KNearestBatch(context.Background(), qs, 1, 2)
-	if err == nil {
-		t.Fatal("dimension mismatch not reported")
+	out := s.RangeBatch(context.Background(), [][]float64{{1, 2}, {3}, {4, 5}}, 10, 2)
+	if out[1].Err == nil || out[1].Neighbors != nil {
+		t.Fatalf("dimension mismatch not attributed to its query: %+v", out[1])
 	}
-	if len(out[0]) != 1 || out[1] != nil || len(out[2]) != 1 {
-		t.Fatalf("batch results around the error wrong: %v", out)
+	if out[0].Err != nil || len(out[0].Neighbors) != 1 || out[2].Err != nil || len(out[2].Neighbors) != 1 {
+		t.Fatalf("batch results around the error wrong: %+v", out)
 	}
 }
 
@@ -207,14 +213,14 @@ func TestKNNParallelSurvivesConcurrentInserts(t *testing.T) {
 			}
 		}
 	}()
+	s := tr.NewScheduler(SchedulerConfig{})
 	for round := 0; round < 8; round++ {
-		res, err := tr.KNearestBatch(context.Background(), qs, 3, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ns := range res {
-			if len(ns) != 3 {
-				t.Fatalf("round %d query %d: %d results", round, i, len(ns))
+		for i, qr := range s.KNearestBatch(context.Background(), qs, 3, 4) {
+			if qr.Err != nil {
+				t.Fatal(qr.Err)
+			}
+			if len(qr.Neighbors) != 3 {
+				t.Fatalf("round %d query %d: %d results", round, i, len(qr.Neighbors))
 			}
 		}
 	}
@@ -243,7 +249,7 @@ func TestKNNParallelPropagatesFabricErrors(t *testing.T) {
 	}
 	for trial := 0; trial < 30; trial++ {
 		q := randomPoints(r, 1, 3)[0].Coords
-		got, err := tr.KNearest(context.Background(), q, 5)
+		got, _, err := tr.KNearest(context.Background(), q, 5)
 		if err != nil {
 			continue // surfaced, not swallowed: acceptable on a lossy fabric
 		}
@@ -277,11 +283,11 @@ func TestKNNEquivalenceOnTies(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := []float64{float64(r.Intn(6)), float64(r.Intn(6)), float64(r.Intn(6))}
 		for _, k := range []int{1, 3, 8} {
-			seq, _, err := tr.knn(context.Background(), q, k, ProtocolSequential)
+			seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, _, err := tr.knn(context.Background(), q, k, ProtocolFanOut)
+			par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,11 +340,11 @@ func TestKNNCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, p := range []Protocol{ProtocolSequential, ProtocolFanOut, ProtocolAuto} {
-		if _, _, err := tr.knn(ctx, []float64{1, 2, 3}, 5, p); !errors.Is(err, context.Canceled) {
+		if _, _, err := tr.NewScheduler(SchedulerConfig{Protocol: p}).KNearest(ctx, []float64{1, 2, 3}, 5); !errors.Is(err, context.Canceled) {
 			t.Fatalf("protocol=%v: err = %v, want context.Canceled", p, err)
 		}
 	}
-	if _, err := tr.RangeSearch(ctx, []float64{1, 2, 3}, 10); !errors.Is(err, context.Canceled) {
+	if _, _, err := tr.RangeSearch(ctx, []float64{1, 2, 3}, 10); !errors.Is(err, context.Canceled) {
 		t.Fatal("range did not observe the dead context")
 	}
 	if after := fabric.Stats().Messages; after != before {
@@ -375,7 +381,7 @@ func TestKNNDeadlineAbortsFanOut(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := tr.KNearest(ctx, randomPoints(r, 1, 4)[0].Coords, 10)
+	_, _, err := tr.KNearest(ctx, randomPoints(r, 1, 4)[0].Coords, 10)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
@@ -416,7 +422,7 @@ func TestRunBatchStopsOnCancel(t *testing.T) {
 	for i := range qs {
 		qs[i] = []float64{1, 2}
 	}
-	res := tr.KNearestBatchStats(ctx, qs, 1, 4) // ctx already cancelled
+	res := tr.NewScheduler(SchedulerConfig{}).KNearestBatch(ctx, qs, 1, 4) // ctx already cancelled
 	for i, qr := range res {
 		if !errors.Is(qr.Err, context.Canceled) {
 			t.Fatalf("entry %d: err = %v, want context.Canceled", i, qr.Err)
@@ -432,7 +438,7 @@ func TestExecStatsPopulated(t *testing.T) {
 	tr, pts := multiPartitionTree(t, r, 3000, 4)
 	q := randomPoints(r, 1, 4)[0].Coords
 
-	ns, st, err := tr.KNearestStats(context.Background(), q, 5)
+	ns, st, err := tr.KNearest(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +471,7 @@ func TestExecStatsPopulated(t *testing.T) {
 	}
 	for _, protocol := range []Protocol{ProtocolFanOut, ProtocolSequential} {
 		before := fabric.Stats().Messages
-		_, st, err := tr2.knn(context.Background(), q, 5, protocol)
+		_, st, err := tr2.knnResolved(context.Background(), q, 5, protocol, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +481,7 @@ func TestExecStatsPopulated(t *testing.T) {
 	}
 
 	// Range stats.
-	rs, rst, err := tr.RangeSearchStats(context.Background(), q, 25)
+	rs, rst, err := tr.RangeSearch(context.Background(), q, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +497,7 @@ func TestExecStatsPopulated(t *testing.T) {
 	for i := range qs {
 		qs[i] = randomPoints(r, 1, 4)[0].Coords
 	}
-	res := tr.KNearestBatchStats(context.Background(), qs, 3, 4)
+	res := tr.NewScheduler(SchedulerConfig{}).KNearestBatch(context.Background(), qs, 3, 4)
 	for i, qr := range res {
 		if qr.Err != nil {
 			t.Fatalf("entry %d: %v", i, qr.Err)
@@ -512,7 +518,7 @@ func TestBatchPerQueryErrors(t *testing.T) {
 	if err := tr.Insert(kdtree.Point{Coords: []float64{1, 2}, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	res := tr.KNearestBatchStats(context.Background(), [][]float64{{1, 2}, {3}, {4, 5}}, 1, 2)
+	res := tr.NewScheduler(SchedulerConfig{}).KNearestBatch(context.Background(), [][]float64{{1, 2}, {3}, {4, 5}}, 1, 2)
 	if res[0].Err != nil || len(res[0].Neighbors) != 1 {
 		t.Fatalf("healthy entry 0 poisoned: %+v", res[0])
 	}

@@ -45,7 +45,7 @@ func TestRebalanceFixesChain(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for q := 0; q < 25; q++ {
 		query := []float64{r.Float64() * 800, r.Float64() * 7}
-		got, err := tr.KNearest(context.Background(), query, 5)
+		got, _, err := tr.KNearest(context.Background(), query, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,14 +94,14 @@ func TestRebalanceDistributesAcrossPartitions(t *testing.T) {
 	}
 	for q := 0; q < 20; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 4)
+		got, _, err := tr.KNearest(context.Background(), query, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := bruteKNN(pts, query, 4); !sameDistances(got, want) {
 			t.Fatal("KNN mismatch after distributed rebalance")
 		}
-		gotR, err := tr.RangeSearch(context.Background(), query, 20)
+		gotR, _, err := tr.RangeSearch(context.Background(), query, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestRebalanceEmptyTree(t *testing.T) {
 	if err := tr.Insert(kdtree.Point{Coords: []float64{1, 2}, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.KNearest(context.Background(), []float64{0, 0}, 1)
+	got, _, err := tr.KNearest(context.Background(), []float64{0, 0}, 1)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("insert after empty rebalance: %v %v", got, err)
 	}
@@ -144,7 +144,7 @@ func TestRebalanceTinyDataManyPartitions(t *testing.T) {
 	if err := tr.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.KNearest(context.Background(), []float64{2.1, 0}, 2)
+	got, _, err := tr.KNearest(context.Background(), []float64{2.1, 0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRebalanceThenInsertAndSpill(t *testing.T) {
 	}
 	for q := 0; q < 20; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 5)
+		got, _, err := tr.KNearest(context.Background(), query, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestRebalanceOverTCP(t *testing.T) {
 	}
 	for q := 0; q < 10; q++ {
 		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 3)
+		got, _, err := tr.KNearest(context.Background(), query, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

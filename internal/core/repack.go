@@ -42,7 +42,7 @@ import (
 // On a fabric error after adoption the migration aborts: the source
 // keeps every point (nothing was unlinked), and the orphaned adopted
 // bucket stays unreachable on the destination — visible only in its
-// point counters, consistent with the async path's at-most-once
+// point counters, consistent with the batch pipeline's at-most-once
 // contract on a failing fabric.
 //
 // The partition graph must stay acyclic. Query and insert handlers

@@ -70,7 +70,7 @@ func TestRepackMovesAndKeepsBoxesExact(t *testing.T) {
 	}
 	var before [][]kdtree.Neighbor
 	for _, q := range queries {
-		ns, err := tr.KNearest(context.Background(), q, 7)
+		ns, _, err := tr.KNearest(context.Background(), q, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestRepackMovesAndKeepsBoxesExact(t *testing.T) {
 		t.Fatalf("points after repack = %d, want %d", stats.Points, len(pts))
 	}
 	for i, q := range queries {
-		after, err := tr.KNearest(context.Background(), q, 7)
+		after, _, err := tr.KNearest(context.Background(), q, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestRepackConcurrentInsertQuery(t *testing.T) {
 			qr := rand.New(rand.NewSource(seed))
 			for i := 0; i < 60; i++ {
 				q := clusteredPoints(qr, 1, dim, clusters)[0].Coords
-				ns, err := tr.KNearest(context.Background(), q, 5)
+				ns, _, err := tr.KNearest(context.Background(), q, 5)
 				if err != nil {
 					errc <- err
 					return
@@ -208,7 +208,7 @@ func TestRepackConcurrentInsertQuery(t *testing.T) {
 	}
 	for trial := 0; trial < 15; trial++ {
 		q := clusteredPoints(r, 1, dim, clusters)[0].Coords
-		got, err := tr.KNearest(context.Background(), q, 5)
+		got, _, err := tr.KNearest(context.Background(), q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

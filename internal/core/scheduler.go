@@ -350,12 +350,6 @@ func (s *Scheduler) KNearest(ctx context.Context, q []float64, k int) ([]kdtree.
 	return r.Neighbors, r.Stats, r.Err
 }
 
-// RangeSearch answers one range query through the scheduler.
-func (s *Scheduler) RangeSearch(ctx context.Context, q []float64, d float64) ([]kdtree.Neighbor, ExecStats, error) {
-	r := s.rangeOne(ctx, q, d)
-	return r.Neighbors, r.Stats, r.Err
-}
-
 // KNearestBatch answers one k-nearest query per element of qs on a
 // bounded worker pool, with every dispatched query passing admission —
 // this is the RunBatch choke point with the admission controller
@@ -409,7 +403,7 @@ func (s *Scheduler) rangeOne(ctx context.Context, q []float64, d float64) QueryR
 	}
 	defer release()
 	var r QueryResult
-	r.Neighbors, r.Stats, r.Err = s.t.RangeSearchStats(ctx, q, d)
+	r.Neighbors, r.Stats, r.Err = s.t.RangeSearch(ctx, q, d)
 	s.complete(charged, r.Stats)
 	return r
 }

@@ -58,15 +58,15 @@ func TestProtocolAutoEquivalence(t *testing.T) {
 		fabric.SetLatency(hop)
 		for qi, q := range qs {
 			for _, k := range []int{3, 10} {
-				seq, _, err := tr.knn(context.Background(), q, k, ProtocolSequential)
+				seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, _, err := tr.knn(context.Background(), q, k, ProtocolFanOut)
+				par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				auto, st, err := tr.knn(context.Background(), q, k, ProtocolAuto)
+				auto, st, err := tr.KNearest(context.Background(), q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -255,7 +255,7 @@ func TestCostModelConvergence(t *testing.T) {
 	query := func() string {
 		t.Helper()
 		q := randomPoints(r, 1, 6)[0].Coords
-		_, st, err := tr.KNearestStats(context.Background(), q, 10)
+		_, st, err := tr.KNearest(context.Background(), q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestCostModelConvergence(t *testing.T) {
 		}
 	}
 	if flipped < 0 {
-		t.Fatalf("5ms hops not observed within 12 queries: %+v", tr.sched.Stats())
+		t.Fatalf("5ms hops not observed within 12 queries: %+v", tr.NewScheduler(SchedulerConfig{}).Stats())
 	}
 	t.Logf("flipped to fan-out after %d queries at 5ms hops", flipped+1)
 
@@ -298,7 +298,7 @@ func TestCostModelConvergence(t *testing.T) {
 		}
 	}
 	if flipped < 0 {
-		t.Fatalf("restored zero latency not observed within 60 queries: %+v", tr.sched.Stats())
+		t.Fatalf("restored zero latency not observed within 60 queries: %+v", tr.NewScheduler(SchedulerConfig{}).Stats())
 	}
 	t.Logf("flipped back to sequential after %d queries at zero latency", flipped+1)
 }

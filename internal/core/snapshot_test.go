@@ -96,11 +96,11 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	}
 	for trial := 0; trial < 15; trial++ {
 		q := clusteredPoints(r, 1, 4, 4)[0].Coords
-		a, err := tr.RangeSearch(context.Background(), q, 6)
+		a, _, err := tr.RangeSearch(context.Background(), q, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := restored.RangeSearch(context.Background(), q, 6)
+		b, _, err := restored.RangeSearch(context.Background(), q, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	restored.Flush()
 	all := append(append([]kdtree.Point(nil), pts...), more...)
 	q := clusteredPoints(r, 1, 4, 4)[0].Coords
-	got, err := restored.KNearest(context.Background(), q, 5)
+	got, _, err := restored.KNearest(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func FuzzPartitionRestore(f *testing.F) {
 		}
 		defer restored.Close()
 		q := make([]float64, s.Dim)
-		if _, err := restored.KNearest(context.Background(), q, 3); err != nil {
+		if _, _, err := restored.KNearest(context.Background(), q, 3); err != nil {
 			t.Fatalf("restored tree failed a query: %v", err)
 		}
 	})

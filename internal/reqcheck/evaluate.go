@@ -24,7 +24,8 @@ func NewExactIndex(store *triple.Store, metric *semdist.Metric) *ExactIndex {
 	return &ExactIndex{store: store, metric: metric}
 }
 
-// KNearestIDs implements Index. The brute-force scan honors the
+// KNearestIDs is the brute-force Index: pass the method value
+// x.KNearestIDs wherever an Index is wanted. The scan honors the
 // context between queries: an already-done ctx fails before scanning.
 func (x *ExactIndex) KNearestIDs(ctx context.Context, q triple.Triple, k int) ([]triple.ID, error) {
 	if err := ctx.Err(); err != nil {
@@ -98,7 +99,7 @@ func Evaluate(ctx context.Context, idx Index, store *triple.Store, reg *vocab.Re
 			if !ok {
 				continue
 			}
-			ids, err := idx.KNearestIDs(ctx, target, k)
+			ids, err := idx(ctx, target, k)
 			if err != nil {
 				return nil, err
 			}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 
+	"semtree"
 	"semtree/internal/triple"
 	"semtree/internal/vocab"
 )
@@ -120,10 +121,26 @@ func TrueInconsistencies(store *triple.Store, req triple.Triple, self triple.ID,
 }
 
 // Index is the retrieval capability the checker needs: the k nearest
-// stored triples to a query triple, as ranked IDs. Both the SemTree
-// facade and the exact brute-force comparator implement it.
-type Index interface {
-	KNearestIDs(ctx context.Context, q triple.Triple, k int) ([]triple.ID, error)
+// stored triples to a query triple, as ranked IDs. SemTree adapts the
+// SemTree index; the exact brute-force comparator passes its
+// ExactIndex.KNearestIDs method value.
+type Index func(ctx context.Context, q triple.Triple, k int) ([]triple.ID, error)
+
+// SemTree adapts a SemTree searcher to Index: each query runs s with K
+// set to k (s's other options, such as exact re-rank, apply) and
+// returns the ranked IDs. k <= 0 returns no IDs.
+func SemTree(s *semtree.Searcher) Index {
+	return func(ctx context.Context, q triple.Triple, k int) ([]triple.ID, error) {
+		res, err := s.With(semtree.WithK(k)).Search(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		ids := make([]triple.ID, len(res.Matches))
+		for i, m := range res.Matches {
+			ids[i] = m.ID
+		}
+		return ids, nil
+	}
 }
 
 // Checker detects candidate inconsistencies by querying an index with
@@ -147,7 +164,7 @@ func (c *Checker) Candidates(ctx context.Context, req triple.Triple, k int) ([]t
 	if !ok {
 		return nil, false, nil
 	}
-	ids, err := c.idx.KNearestIDs(ctx, target, k)
+	ids, err := c.idx(ctx, target, k)
 	if err != nil {
 		return nil, true, fmt.Errorf("reqcheck: query failed: %w", err)
 	}

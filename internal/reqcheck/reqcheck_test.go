@@ -125,7 +125,7 @@ func TestCheckerFindsPlantedConflicts(t *testing.T) {
 	}
 	metric := semdist.MustNew(reg, semdist.Options{})
 	idx := NewExactIndex(b.Corpus.Store, metric)
-	checker := NewChecker(idx, reg)
+	checker := NewChecker(idx.KNearestIDs, reg)
 
 	found := 0
 	for _, p := range b.Planted {
@@ -166,7 +166,7 @@ func TestEvaluatePrecisionRecallShape(t *testing.T) {
 		queries = append(queries, Query{Requirement: p.Requirement, GroundTruth: gt})
 	}
 	ks := []int{1, 3, 5, 10, 20}
-	points, err := Evaluate(context.Background(), idx, b.Corpus.Store, reg, queries, ks)
+	points, err := Evaluate(context.Background(), idx.KNearestIDs, b.Corpus.Store, reg, queries, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +194,10 @@ func TestEvaluateErrors(t *testing.T) {
 	store := triple.NewStore()
 	metric := semdist.MustNew(reg, semdist.Options{})
 	idx := NewExactIndex(store, metric)
-	if _, err := Evaluate(context.Background(), idx, store, reg, nil, []int{3}); err == nil {
+	if _, err := Evaluate(context.Background(), idx.KNearestIDs, store, reg, nil, []int{3}); err == nil {
 		t.Fatal("expected error with no evaluable queries")
 	}
-	if _, err := Evaluate(context.Background(), idx, store, reg,
+	if _, err := Evaluate(context.Background(), idx.KNearestIDs, store, reg,
 		[]Query{{Requirement: 42, GroundTruth: []triple.ID{1}}}, []int{3}); err == nil {
 		t.Fatal("expected error for unknown requirement")
 	}

@@ -103,13 +103,45 @@ type Server struct {
 	conns map[net.Conn]struct{}
 
 	draining atomic.Bool
-	reqWG    sync.WaitGroup // in-flight request handlers
+	reqs     requests       // in-flight request handlers
 	connWG   sync.WaitGroup // connection handlers + accept loop
 
 	connCount        atomic.Int64
 	served           atomic.Int64
 	rejectedDraining atomic.Int64
 	snapshots        atomic.Int64
+}
+
+// requests counts in-flight request handlers. Unlike a sync.WaitGroup,
+// it may gain handlers while Drain waits on it: frames that arrive
+// during a drain still get a handler, which writes the typed refusal.
+type requests struct {
+	mu   sync.Mutex
+	idle sync.Cond // signalled when n drops to zero; L is &mu
+	n    int
+}
+
+func (r *requests) add() {
+	r.mu.Lock()
+	r.n++
+	r.mu.Unlock()
+}
+
+func (r *requests) done() {
+	r.mu.Lock()
+	if r.n--; r.n == 0 {
+		r.idle.Broadcast()
+	}
+	r.mu.Unlock()
+}
+
+// wait blocks until no request handler is in flight.
+func (r *requests) wait() {
+	r.mu.Lock()
+	for r.n > 0 {
+		r.idle.Wait()
+	}
+	r.mu.Unlock()
 }
 
 // NewServer builds a server over cfg, constructing one Searcher per
@@ -139,6 +171,7 @@ func NewServer(cfg Config) (*Server, error) {
 		tenants: make(map[string]*tenant, len(cfg.Tenants)),
 		conns:   make(map[net.Conn]struct{}),
 	}
+	s.reqs.idle.L = &s.reqs.mu
 	for _, tc := range cfg.Tenants {
 		if tc.Name == "" {
 			return nil, fmt.Errorf("serve: tenant with empty name")
@@ -237,14 +270,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	// Wait for in-flight request handlers — each holds a reqWG slot
+	// Wait for in-flight request handlers — each holds a reqs slot
 	// from frame decode to response write — then for the grace window,
 	// then for the refusals the grace window admitted.
 	var err error
 	wait := func(d time.Duration) {
 		done := make(chan struct{})
 		go func() {
-			s.reqWG.Wait()
+			s.reqs.wait()
 			if d > 0 {
 				timer := time.NewTimer(d)
 				defer timer.Stop()
@@ -252,7 +285,7 @@ func (s *Server) Drain(ctx context.Context) error {
 				case <-timer.C:
 				case <-ctx.Done():
 				}
-				s.reqWG.Wait()
+				s.reqs.wait()
 			}
 			close(done)
 		}()
@@ -356,15 +389,15 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		switch f := frame.(type) {
 		case searchFrame:
-			s.reqWG.Add(1)
+			s.reqs.add()
 			go func() {
-				defer s.reqWG.Done()
+				defer s.reqs.done()
 				s.handleSearch(ctx, t, w, f)
 			}()
 		case snapshotFrame:
-			s.reqWG.Add(1)
+			s.reqs.add()
 			go func() {
-				defer s.reqWG.Done()
+				defer s.reqs.done()
 				s.handleSnapshot(t, w, f)
 			}()
 		default:

@@ -112,7 +112,7 @@ func (ix *Index) MatchPattern(ctx context.Context, p Pattern, d float64, limit i
 	}
 	q := triple.New(qTerms[0], qTerms[1], qTerms[2])
 
-	cands, err := ix.Range(ctx, q, d+slack+embeddingSlack)
+	res, err := ix.Searcher(WithMode(ModeRange), WithRadius(d+slack+embeddingSlack)).Search(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func (ix *Index) MatchPattern(ctx context.Context, p Pattern, d float64, limit i
 		}
 	}
 	var out []Match
-	for _, c := range cands {
+	for _, c := range res.Matches {
 		boundDist := 0.0
 		for i, t := range terms {
 			if t == nil {

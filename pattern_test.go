@@ -151,10 +151,7 @@ func TestKNearestExactImprovesRanking(t *testing.T) {
 	qGen := synth.New(synth.Config{Seed: 74}, nil)
 	for q := 0; q < 20; q++ {
 		query := qGen.RandomTriple()
-		exact, err := ix.KNearestExact(context.Background(), query, 5, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact := search(t, ix, query, WithK(5), WithExactFactor(4))
 		if len(exact) == 0 {
 			t.Fatal("no results")
 		}

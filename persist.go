@@ -45,36 +45,24 @@ type indexSnapshot struct {
 	Tree    *core.TreeSnapshot
 }
 
-// Save writes a snapshot of the index to w. The distributed tree must
-// be quiescent (no concurrent Insert, BulkAdd, Rebalance or Repack);
-// concurrent queries are fine. The store-and-embedding capture itself
-// is atomic against Insert and BulkAdd — both sides serialize on the
-// index lock — so even a Save that races an ingest reports a clean
-// count mismatch from the tree capture instead of tearing.
+// Save writes a snapshot of the index to w. Concurrent queries, Insert
+// and BulkAdd are fine: Save waits for in-flight ingests, captures the
+// store, the embeddings and the tree while new ingests wait, and lets
+// them resume before encoding. Rebalance and Repack must not run
+// concurrently.
 func Save(w io.Writer, ix *Index) error {
-	// One critical section for the store walk and the coords copy: an
-	// Insert between the two would leave a triple without its embedding
-	// row (or the reverse) in the snapshot.
-	ix.mu.Lock()
-	coords := append([][]float64(nil), ix.coords...)
-	entries := make([]triple.Entry, 0, ix.store.Len())
-	ix.store.Each(func(id triple.ID, e triple.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	ix.mu.Unlock()
+	coords, entries, treeSnap, err := ix.capture()
+	if err != nil {
+		return err
+	}
 	if len(entries) != len(coords) {
 		return fmt.Errorf("semtree: store holds %d triples but %d embeddings are tracked "+
 			"(triples added to the store outside the index?)", len(entries), len(coords))
 	}
-	treeSnap, err := ix.tree.Snapshot()
-	if err != nil {
-		return fmt.Errorf("semtree: save: %w", err)
-	}
-	// The tree's size counter and its partitions are captured at
-	// different moments, so an Insert racing the capture can leave a
-	// point in the buckets that the entry table lacks. Load rejects such
-	// a snapshot; report the mutation instead of writing it.
+	// Ingests through the index cannot split the capture, but a triple
+	// written to the store directly, or a tree mutated behind the
+	// index, still can. Load rejects such a snapshot; report the
+	// mutation instead of writing it.
 	points, stray := int64(0), false
 	for pi := range treeSnap.Parts {
 		for ni := range treeSnap.Parts[pi].Nodes {
@@ -100,6 +88,28 @@ func Save(w io.Writer, ix *Index) error {
 		return fmt.Errorf("semtree: save: %w", err)
 	}
 	return nil
+}
+
+// capture copies the embedding table, the store's entries and the
+// tree's partitions as one consistent cut: it holds the ingest lock
+// exclusively, so no Insert or BulkAdd is between its store write and
+// its tree insert.
+func (ix *Index) capture() ([][]float64, []triple.Entry, *core.TreeSnapshot, error) {
+	ix.ingest.Lock()
+	defer ix.ingest.Unlock()
+	ix.mu.Lock()
+	coords := append([][]float64(nil), ix.coords...)
+	entries := make([]triple.Entry, 0, ix.store.Len())
+	ix.store.Each(func(id triple.ID, e triple.Entry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	ix.mu.Unlock()
+	treeSnap, err := ix.tree.Snapshot()
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("semtree: save: %w", err)
+	}
+	return coords, entries, treeSnap, nil
 }
 
 // encodeSnapshot and decodeSnapshot isolate the gob round trip for

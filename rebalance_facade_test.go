@@ -1,7 +1,6 @@
 package semtree
 
 import (
-	"context"
 	"testing"
 
 	"semtree/internal/synth"
@@ -40,10 +39,7 @@ func TestIndexRebalanceAfterGrowth(t *testing.T) {
 	// Every dynamically inserted triple must still be findable exactly.
 	for i := 0; i < 40; i++ {
 		probe := inserted[i*20%len(inserted)]
-		got, err := ix.KNearest(context.Background(), probe, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := search(t, ix, probe, WithK(1))
 		if len(got) != 1 || got[0].Dist > 1e-9 {
 			t.Fatalf("probe %v not found after rebalance: %v", probe, got)
 		}

@@ -1,7 +1,6 @@
 package semtree
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -54,10 +53,7 @@ func TestScalePaperCorpus(t *testing.T) {
 	probes := probeGen.Triples(50) // same seed → prefix of the corpus
 	qStart := time.Now()
 	for _, probe := range probes {
-		got, err := ix.KNearest(context.Background(), probe, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := search(t, ix, probe, WithK(3))
 		if len(got) != 3 || got[0].Dist > 1e-9 {
 			t.Fatalf("stored triple %v not retrieved at distance 0: %v", probe, got)
 		}

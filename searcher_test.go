@@ -1,9 +1,9 @@
 package semtree
 
 // Tests for the Searcher facade of the concurrent query engine: batch
-// answers must agree with the single-query wrappers, degenerate inputs
-// must be guarded, and batches must be safe against concurrent inserts
-// (run with -race).
+// answers must agree with single-query Search, degenerate inputs must
+// be guarded, and batches must be safe against concurrent inserts (run
+// with -race).
 
 import (
 	"context"
@@ -44,16 +44,13 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 	}
 
 	t.Run("knn", func(t *testing.T) {
-		s := ix.Searcher(WithOptions(SearchOptions{K: 5, Parallelism: 4}))
+		s := ix.Searcher(WithK(5), WithParallelism(4))
 		batch, err := s.SearchBatch(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range qs {
-			single, err := ix.KNearest(context.Background(), q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
+			single := search(t, ix, q, WithK(5))
 			if batch[i].Err != nil {
 				t.Fatalf("query %d: %v", i, batch[i].Err)
 			}
@@ -63,16 +60,13 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 		}
 	})
 	t.Run("range", func(t *testing.T) {
-		s := ix.Searcher(WithOptions(SearchOptions{Radius: 0.4, Parallelism: 4}))
+		s := ix.Searcher(WithRadius(0.4), WithParallelism(4))
 		batch, err := s.SearchBatch(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range qs {
-			single, err := ix.Range(context.Background(), q, 0.4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			single := search(t, ix, q, WithMode(ModeRange), WithRadius(0.4))
 			if batch[i].Err != nil {
 				t.Fatalf("query %d: %v", i, batch[i].Err)
 			}
@@ -82,7 +76,7 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 		}
 	})
 	t.Run("range-truncated", func(t *testing.T) {
-		s := ix.Searcher(WithOptions(SearchOptions{Radius: 0.5, K: 3}))
+		s := ix.Searcher(WithRadius(0.5), WithK(3))
 		res, err := s.Search(context.Background(), qs[0])
 		if err != nil {
 			t.Fatal(err)
@@ -92,16 +86,13 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 		}
 	})
 	t.Run("exact", func(t *testing.T) {
-		s := ix.Searcher(WithOptions(SearchOptions{K: 4, ExactFactor: 3, Parallelism: 2}))
+		s := ix.Searcher(WithK(4), WithExactFactor(3), WithParallelism(2))
 		batch, err := s.SearchBatch(context.Background(), qs[:8])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range qs[:8] {
-			single, err := ix.KNearestExact(context.Background(), q, 4, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			single := search(t, ix, q, WithK(4), WithExactFactor(3))
 			if batch[i].Err != nil {
 				t.Fatalf("query %d: %v", i, batch[i].Err)
 			}
@@ -114,43 +105,68 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 
 func TestSearcherEmptyBatch(t *testing.T) {
 	ix, _ := buildTestIndex(t, 50, Options{Seed: 3})
-	res, err := ix.Searcher(WithOptions(SearchOptions{K: 3})).SearchBatch(context.Background(), nil)
+	res, err := ix.Searcher(WithK(3)).SearchBatch(context.Background(), nil)
 	if err != nil || res != nil {
 		t.Fatalf("empty batch = %v, %v", res, err)
 	}
 }
 
-// TestKNearestExactGuards pins the satellite fix: k <= 0 returns nil
-// like KNearest, and degenerate factors can neither overflow k*factor
-// nor request more candidates than the index holds.
+// TestKNearestExactGuards pins the degenerate inputs: k <= 0 returns
+// nil matches and no error (with or without re-rank), a factor below 2
+// is raised to 2, and a huge factor is clamped to Len without
+// overflowing k*factor.
 func TestKNearestExactGuards(t *testing.T) {
 	ix, g := buildTestIndex(t, 100, Options{Seed: 3})
 	q := g.RandomTriple()
 	for _, k := range []int{0, -4} {
-		got, err := ix.KNearestExact(context.Background(), q, k, 3)
-		if err != nil || got != nil {
-			t.Fatalf("k=%d: got %v, %v, want nil", k, got, err)
+		for _, opts := range [][]SearchOption{{WithK(k)}, {WithK(k), WithExactFactor(3)}} {
+			res, err := ix.Searcher(opts...).Search(context.Background(), q)
+			if err != nil || res.Matches != nil {
+				t.Fatalf("k=%d: got %v, %v, want nil", k, res.Matches, err)
+			}
+		}
+	}
+	for _, tc := range []struct{ factor, want int }{
+		{1, 6}, {2, 6}, {5, 15}, {math.MaxInt, ix.Len()},
+	} {
+		if got := ix.Searcher(WithK(3), WithExactFactor(tc.factor)).candidateK(); got != tc.want {
+			t.Fatalf("factor %d: %d candidates, want %d", tc.factor, got, tc.want)
 		}
 	}
 	// A factor near MaxInt must not overflow or allocate wildly.
-	huge, err := ix.KNearestExact(context.Background(), q, 3, math.MaxInt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	huge := search(t, ix, q, WithK(3), WithExactFactor(math.MaxInt))
 	if len(huge) != 3 {
 		t.Fatalf("huge factor returned %d results", len(huge))
 	}
 	// With the candidate set clamped to Len, a huge factor degenerates
 	// to exact brute-force ranking: it must agree with factor = Len.
-	all, err := ix.KNearestExact(context.Background(), q, 3, ix.Len())
+	if all := search(t, ix, q, WithK(3), WithExactFactor(ix.Len())); !sameMatches(huge, all) {
+		t.Fatalf("huge-factor ranking diverges from full re-rank")
+	}
+}
+
+// TestRangeRadiusZero: ModeRange keeps radius 0 meaning "exact embedded
+// matches only", while ModeAuto reads a zero radius as k-nearest.
+func TestRangeRadiusZero(t *testing.T) {
+	ix, _ := buildTestIndex(t, 200, Options{Seed: 3})
+	probe := tr("('OBSW001', Fun:accept_cmd, CmdType:start-up)")
+	id, err := ix.Insert(probe, triple.Provenance{Doc: "probe"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameMatches(huge, all) {
-		t.Fatalf("huge-factor ranking diverges from full re-rank")
+	got := search(t, ix, probe, WithMode(ModeRange))
+	found := false
+	for _, m := range got {
+		if m.Dist != 0 {
+			t.Fatalf("radius-0 range returned a match at distance %v", m.Dist)
+		}
+		found = found || m.ID == id
 	}
-	if got, err := ix.KNearest(context.Background(), q, 0); err != nil || got != nil {
-		t.Fatalf("KNearest k=0 = %v, %v, want nil", got, err)
+	if !found {
+		t.Fatalf("radius-0 range missed the exact match: %v", got)
+	}
+	if auto := search(t, ix, probe); auto != nil {
+		t.Fatalf("ModeAuto with no K and no radius returned %v, want nil", auto)
 	}
 }
 
@@ -176,7 +192,7 @@ func TestSearcherConcurrentWithInsert(t *testing.T) {
 			}
 		}
 	}()
-	s := ix.Searcher(WithOptions(SearchOptions{K: 3, Parallelism: 4}))
+	s := ix.Searcher(WithK(3), WithParallelism(4))
 	for round := 0; round < 6; round++ {
 		res, err := s.SearchBatch(context.Background(), qs)
 		if err != nil {
@@ -210,7 +226,7 @@ func TestSearchBatchPerQueryError(t *testing.T) {
 		qs[i] = g.RandomTriple()
 	}
 	// K large enough that every query retrieves the phantom point.
-	res, err := ix.Searcher(WithOptions(SearchOptions{K: ix.Len() + 1, Parallelism: 2})).SearchBatch(context.Background(), qs)
+	res, err := ix.Searcher(WithK(ix.Len()+1), WithParallelism(2)).SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatalf("batch-level error for a per-query failure: %v", err)
 	}
@@ -232,7 +248,7 @@ func TestSearchBatchPerQueryError(t *testing.T) {
 	}
 	// A small K that cannot reach the phantom answers cleanly — the
 	// poisoned index is only poisoned for queries that touch the hole.
-	res, err = ix.Searcher(WithOptions(SearchOptions{K: 1})).SearchBatch(context.Background(), qs)
+	res, err = ix.Searcher(WithK(1)).SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,16 +266,16 @@ func TestSearchCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := g.RandomTriple()
-	if _, err := ix.KNearest(ctx, q, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("KNearest err = %v", err)
+	for _, opts := range [][]SearchOption{
+		{WithK(3)},
+		{WithRadius(0.5)},
+		{WithK(3), WithExactFactor(2)},
+	} {
+		if _, err := ix.Searcher(opts...).Search(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Search err = %v", err)
+		}
 	}
-	if _, err := ix.Range(ctx, q, 0.5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Range err = %v", err)
-	}
-	if _, err := ix.KNearestIDs(ctx, q, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("KNearestIDs err = %v", err)
-	}
-	res, err := ix.Searcher(WithOptions(SearchOptions{K: 3})).SearchBatch(ctx, []triple.Triple{q, q})
+	res, err := ix.Searcher(WithK(3)).SearchBatch(ctx, []triple.Triple{q, q})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchBatch err = %v", err)
 	}
@@ -280,7 +296,7 @@ func TestSearchExecStats(t *testing.T) {
 	for i := range qs {
 		qs[i] = g.RandomTriple()
 	}
-	res, err := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 2})).SearchBatch(context.Background(), qs)
+	res, err := ix.Searcher(WithK(4), WithParallelism(2)).SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +316,11 @@ func TestSearchExecStats(t *testing.T) {
 		}
 	}
 	// Exact mode charges the re-rank evaluations on top.
-	plain, err := ix.Searcher(WithOptions(SearchOptions{K: 4})).Search(context.Background(), qs[0])
+	plain, err := ix.Searcher(WithK(4)).Search(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ix.Searcher(WithOptions(SearchOptions{K: 4, ExactFactor: 4})).Search(context.Background(), qs[0])
+	exact, err := ix.Searcher(WithK(4), WithExactFactor(4)).Search(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +345,9 @@ func TestSearcherSchedulerOptions(t *testing.T) {
 
 	// The three protocols must answer identically (the core engine's
 	// equivalence, re-asserted through the facade).
-	auto := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 4}))
-	seq := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 4}), WithProtocol(ProtocolSequential))
-	fan := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 4}), WithProtocol(ProtocolFanOut))
+	auto := ix.Searcher(WithK(4), WithParallelism(4))
+	seq := ix.Searcher(WithK(4), WithParallelism(4), WithProtocol(ProtocolSequential))
+	fan := ix.Searcher(WithK(4), WithParallelism(4), WithProtocol(ProtocolFanOut))
 	resAuto, err := auto.SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +382,7 @@ func TestSearcherSchedulerOptions(t *testing.T) {
 
 	// A 1-slot searcher with no admission queue sheds concurrent
 	// surplus with ErrAdmissionRejected, attributed per query.
-	limited := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 8, QueueDepth: -1}), WithMaxInFlight(1))
+	limited := ix.Searcher(WithK(4), WithParallelism(8), WithQueueDepth(-1), WithMaxInFlight(1))
 	res, err := limited.SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +408,7 @@ func TestSearcherSchedulerOptions(t *testing.T) {
 
 	// Admission control: once the model knows a query's cost, a
 	// microscopic deadline budget is rejected up front.
-	guarded := ix.Searcher(WithOptions(SearchOptions{K: 4}), WithAdmissionControl(true))
+	guarded := ix.Searcher(WithK(4), WithAdmissionControl(true))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	gres, _ := guarded.SearchBatch(ctx, qs[:1])
@@ -420,7 +436,7 @@ func TestSearcherQuota(t *testing.T) {
 	}
 
 	// Zero capacity admits nothing and spends nothing.
-	drained := ix.Searcher(WithOptions(SearchOptions{K: 3}), WithQuota(0, 1000))
+	drained := ix.Searcher(WithK(3), WithQuota(0, 1000))
 	res, err := drained.SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
@@ -440,8 +456,8 @@ func TestSearcherQuota(t *testing.T) {
 
 	// A small bucket with no refill throttles a hammering tenant after
 	// its burst; an unthrottled searcher on the same index is unaffected.
-	throttled := ix.Searcher(WithOptions(SearchOptions{K: 3, Quota: &QuotaConfig{Capacity: 2000}}))
-	open := ix.Searcher(WithOptions(SearchOptions{K: 3}))
+	throttled := ix.Searcher(WithK(3), WithQuota(2000, 0))
+	open := ix.Searcher(WithK(3))
 	okCount, shed := 0, 0
 	for _, q := range qs {
 		_, err := throttled.Search(context.Background(), q)
@@ -514,32 +530,5 @@ func TestSearchOptionCompleteness(t *testing.T) {
 	}
 	if len(setters) != typ.NumField() {
 		t.Errorf("option table lists %d fields, SearchOptions has %d", len(setters), typ.NumField())
-	}
-}
-
-// TestWithOptionsMerge: the deprecated struct adapter layers non-zero
-// fields over the accumulated configuration instead of erasing it, so
-// migrated call sites compose with fine-grained options on either side.
-func TestWithOptionsMerge(t *testing.T) {
-	var o SearchOptions
-	for _, opt := range []SearchOption{
-		WithK(4),
-		WithParallelism(6),
-		WithOptions(SearchOptions{K: 9, Radius: 0.5}), // overrides K, leaves Parallelism
-	} {
-		opt(&o)
-	}
-	if o.K != 9 || o.Radius != 0.5 || o.Parallelism != 6 {
-		t.Fatalf("merge got %+v, want K=9 Radius=0.5 Parallelism=6", o)
-	}
-	// Applied to a zero base, WithOptions reproduces the struct exactly
-	// (the mechanical migration path for the old signature).
-	src := SearchOptions{Mode: ModeRange, K: 3, Radius: 0.4, ExactFactor: 2,
-		Parallelism: 8, Protocol: ProtocolSequential, MaxInFlight: 2,
-		QueueDepth: -1, AdmissionControl: true, Quota: &QuotaConfig{Capacity: 10}}
-	var got SearchOptions
-	WithOptions(src)(&got)
-	if !reflect.DeepEqual(got, src) {
-		t.Fatalf("WithOptions on a zero base: got %+v, want %+v", got, src)
 	}
 }
