@@ -114,6 +114,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		if !errors.Is(dec, s) {
 			t.Errorf("%v: decoded error does not match the sentinel under errors.Is", s)
 		}
+		//semtree:allow typederr: not classification — the message must cross the wire verbatim; identity is checked with errors.Is above
 		if dec.Error() != s.Error() {
 			t.Errorf("%v: message changed across the wire: %q", s, dec.Error())
 		}
@@ -121,6 +122,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		// the wrapped message preserved.
 		wrapped := fmt.Errorf("while serving request 7: %w", s)
 		dec = DecodeError(CodeOf(wrapped), wrapped.Error(), 0)
+		//semtree:allow typederr: not classification — the wrapped message must survive verbatim; identity is checked with errors.Is beside it
 		if !errors.Is(dec, s) || dec.Error() != wrapped.Error() {
 			t.Errorf("%v: wrapped round trip lost the sentinel or the message (got %v)", s, dec)
 		}
@@ -133,6 +135,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	if !errors.As(dec, &unindexed) || unindexed.ID != 1234 {
 		t.Fatalf("ErrUnindexedID did not round-trip: %v", dec)
 	}
+	//semtree:allow typederr: not classification — the message must cross the wire verbatim; identity is checked with errors.As above
 	if dec.Error() != orig.Error() {
 		t.Fatalf("ErrUnindexedID message changed: %q vs %q", dec.Error(), orig.Error())
 	}
@@ -143,6 +146,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		t.Fatalf("unregistered error got code %d", c)
 	}
 	dec = DecodeError(CodeUnknown, plain.Error(), 0)
+	//semtree:allow typederr: not classification — an unregistered error has no sentinel, so its message is the whole payload and must survive verbatim
 	if dec.Error() != plain.Error() {
 		t.Fatalf("CodeUnknown lost the message: %q", dec.Error())
 	}

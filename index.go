@@ -81,13 +81,9 @@ type Index struct {
 	// holds it exclusively from the store capture through the tree
 	// capture, so a snapshot never holds a stored triple the tree lacks
 	// (or the reverse). Ingests still run concurrently with each other.
+	// The tree holds the only copy of each embedding; Save derives the
+	// persisted coordinates from its capture.
 	ingest sync.RWMutex
-	// mu guards coords AND the store↔coords pairing: Insert and
-	// BulkAdd write the store and the embedding table under one
-	// critical section, and Save reads both under it, so a snapshot
-	// never observes a triple without its embedding (or vice versa).
-	mu     sync.Mutex
-	coords [][]float64 // embedding per stored triple, indexed by triple.ID
 }
 
 // persistedOptions are the build parameters that determine the
@@ -173,7 +169,6 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 
 	return &Index{
 		store: store, metric: metric, mapper: mapper, pivots: pivots, tree: tree, dims: dims,
-		coords: coords,
 		opts: persistedOptions{
 			Weights:         metric.Weights(),
 			Measure:         opts.Measure,
@@ -195,11 +190,10 @@ func (ix *Index) embed(t triple.Triple) []float64 {
 }
 
 // ErrUnindexedID reports a tree point whose ID has no entry in the
-// triple store: the point was indexed out of band — typically a direct
-// store write that left a nil placeholder behind (see Insert) — so a
-// query that retrieves it cannot resolve a stored triple. The error
-// names the offending ID; it is attached to the failing query's Result
-// and matched with errors.As.
+// triple store: the point was indexed out of band, so a query that
+// retrieves it cannot resolve a stored triple. The error names the
+// offending ID; it is attached to the failing query's Result and
+// matched with errors.As.
 type ErrUnindexedID struct {
 	ID triple.ID
 }
@@ -209,24 +203,14 @@ func (e ErrUnindexedID) Error() string {
 }
 
 // Insert adds a triple to the store and the index, returning its ID.
-// When other writers added triples to the store directly (out of band),
-// the skipped IDs get nil embedding placeholders: those triples are in
-// the store but not in the index, and a query that somehow retrieves
-// such an ID fails with ErrUnindexedID naming it.
+// Triples other writers added to the store directly (out of band) are
+// in the store but not in the index: they are never retrieved, and
+// Save refuses to persist a store the tree does not cover.
 func (ix *Index) Insert(t triple.Triple, prov triple.Provenance) (triple.ID, error) {
 	c := ix.embed(t)
 	ix.ingest.RLock()
 	defer ix.ingest.RUnlock()
-	// Store write and embedding append happen under one critical
-	// section: a concurrent Save must never observe the triple in the
-	// store without its coordinate row (or the reverse).
-	ix.mu.Lock()
 	id := ix.store.Add(t, prov)
-	for uint64(len(ix.coords)) < uint64(id) {
-		ix.coords = append(ix.coords, nil) // IDs added out of band (direct store writes)
-	}
-	ix.coords = append(ix.coords, c)
-	ix.mu.Unlock()
 	point := kdtree.Point{Coords: c, ID: uint64(id)}
 	if err := ix.tree.Insert(point); err != nil {
 		return id, fmt.Errorf("semtree: insert: %w", err)
@@ -242,10 +226,10 @@ type BulkItem struct {
 }
 
 // BulkAdd ingests a batch of triples in one pass: the embeddings are
-// computed by a bounded worker pool, the store and embedding table are
-// extended atomically, and the images enter the distributed tree
-// through its sorted bulk loader — balanced fragment grafts instead of
-// per-point split cascades. Returned IDs are positional: ids[i] is items[i]. The
+// computed by a bounded worker pool, the store is extended, and the
+// images enter the distributed tree through its sorted bulk loader —
+// balanced fragment grafts instead of per-point split cascades.
+// Returned IDs are positional: ids[i] is items[i]. The
 // context bounds the tree load; triples already committed to the store
 // when it expires stay stored (re-running the load is idempotent only
 // at the store level), so treat a context error as a partial ingest.
@@ -268,17 +252,11 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	// none of it.
 	ix.ingest.RLock()
 	defer ix.ingest.RUnlock()
-	ix.mu.Lock()
 	for i, it := range items {
 		id := ix.store.Add(it.Triple, it.Prov)
-		for uint64(len(ix.coords)) < uint64(id) {
-			ix.coords = append(ix.coords, nil) // IDs added out of band
-		}
-		ix.coords = append(ix.coords, coords[i])
 		ids[i] = id
 		points[i] = kdtree.Point{Coords: coords[i], ID: uint64(id)}
 	}
-	ix.mu.Unlock()
 	if err := ix.tree.BulkLoad(ctx, points); err != nil {
 		return ids, fmt.Errorf("semtree: bulk add: %w", err)
 	}

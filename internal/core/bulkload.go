@@ -337,16 +337,16 @@ func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 // path's boxes for every batch point.
 func (p *partition) graftLocked(idx int32, batch []kdtree.Point) error {
 	n := &p.nodes[idx]
-	total := len(n.bucket) + len(batch)
+	total := n.size() + len(batch)
 	if n.migrating || total <= p.t.cfg.BucketSize {
-		n.bucket = append(n.bucket, batch...)
+		for _, pt := range batch {
+			n.appendPoint(pt)
+		}
 		p.points += len(batch)
 		p.inserts.Add(int64(len(batch)))
 		return nil
 	}
-	all := make([]kdtree.Point, 0, total)
-	all = append(all, n.bucket...)
-	all = append(all, batch...)
+	all := append(n.points(p.t.cfg.Dim), batch...)
 	seq, err := kdtree.BulkLoad(all, p.t.cfg.Dim, p.t.cfg.BucketSize)
 	if err != nil {
 		return fmt.Errorf("core: graft build: %w", err)
@@ -359,9 +359,9 @@ func (p *partition) graftLocked(idx int32, batch []kdtree.Point) error {
 
 // installFragmentLocked replaces the node at idx with a self-contained
 // flat fragment: the fragment root lands in idx's arena slot, the rest
-// appends to the arena. Boxes and buckets are copied — the fragment may
-// alias a client-side flat tree. Callers hold the write lock and
-// account p.points themselves.
+// appends to the arena. Boxes are copied and buckets land in fresh
+// leaf blocks — the fragment may alias a client-side flat tree. Callers
+// hold the write lock and account p.points themselves.
 func (p *partition) installFragmentLocked(idx int32, flat []kdtree.FlatNode) {
 	base := int32(len(p.nodes))
 	at := func(j int32) childRef {
@@ -375,7 +375,7 @@ func (p *partition) installFragmentLocked(idx int32, flat []kdtree.FlatNode) {
 			n.hi = append([]float64(nil), fn.Hi...)
 		}
 		if fn.Leaf {
-			n.bucket = append([]kdtree.Point(nil), fn.Bucket...)
+			n.setPoints(fn.Bucket, p.t.cfg.Dim)
 		} else {
 			n.left, n.right = at(fn.Left), at(fn.Right)
 		}
@@ -422,7 +422,7 @@ func (p *partition) handleBulkGraft(r graftReq) (any, error) {
 		p.mu.Unlock()
 		return graftResp{}, nil
 	}
-	displaced := entry.bucket
+	displaced := entry.points(p.t.cfg.Dim)
 	base := int32(len(p.nodes))
 	resolve := func(c wireChild) childRef {
 		if c.Internal > 0 {
@@ -446,8 +446,8 @@ func (p *partition) handleBulkGraft(r graftReq) (any, error) {
 			n.hi = append([]float64(nil), wn.Hi...)
 		}
 		if wn.Leaf {
-			n.bucket = append([]kdtree.Point(nil), wn.Bucket...)
-			p.points += len(n.bucket)
+			n.setPoints(wn.Bucket, p.t.cfg.Dim)
+			p.points += n.size()
 		} else {
 			n.left, n.right = resolve(wn.Left), resolve(wn.Right)
 		}
@@ -469,8 +469,8 @@ func (p *partition) handleBulkGraft(r graftReq) (any, error) {
 			continue
 		}
 		n := &p.nodes[leafIdx]
-		n.bucket = append(n.bucket, pt)
-		if len(n.bucket) > p.t.cfg.BucketSize {
+		n.appendPoint(pt)
+		if n.size() > p.t.cfg.BucketSize {
 			p.splitLeaf(leafIdx)
 		}
 	}

@@ -87,6 +87,34 @@ func (e *ewma) add(x float64) {
 	e.n++
 }
 
+// spikeFilter is a running median of the last three samples. Hop
+// samples pass through it before their EWMA: a single outlier — one
+// call's RTT inflated by a GC pause or a preempted goroutine — never
+// reaches the estimate, where on a zero-latency fabric it would read as
+// microseconds of transit and flip the protocol choice to the fan-out,
+// while a real latency step passes after two samples.
+type spikeFilter struct {
+	prev [2]float64
+	n    int
+}
+
+func (f *spikeFilter) next(x float64) float64 {
+	a, b := f.prev[0], f.prev[1]
+	f.prev[0], f.prev[1] = b, x
+	if f.n < 2 {
+		f.n++
+		return x
+	}
+	return max(min(a, b), min(max(a, b), x))
+}
+
+// hopDest is one destination's hop offset (see costModel.hopBy) with
+// its own spike filter.
+type hopDest struct {
+	ewma
+	in spikeFilter
+}
+
 // protoShape is the structural (latency-independent) profile of one
 // protocol: fabric messages, nodes visited, distance evaluations and
 // observed wall per query.
@@ -103,8 +131,9 @@ type protoShape struct {
 // float operations — cheap next to a fabric message.
 type costModel struct {
 	mu    sync.Mutex
-	hopNs ewma // per-hop fabric transit, ns, all destinations pooled (clamped ≥ 0 on read)
-	cmpNs ewma // compute per visited node, ns
+	hopNs ewma        // per-hop fabric transit, ns, all destinations pooled (clamped ≥ 0 on read)
+	hopIn spikeFilter // the pooled hop samples' spike filter
+	cmpNs ewma        // compute per visited node, ns
 
 	// hopBy refines hopNs per destination: CallSample.To identifies the
 	// node behind each leaf-call RTT, so on a fabric with non-uniform
@@ -120,7 +149,7 @@ type costModel struct {
 	// dynamics from the pooled level they ride on. The placement kernel
 	// prefers cheap destinations through hopToNs; ProtocolAuto prices
 	// hops with the pooled level plus the traffic-weighted mean offset.
-	hopBy map[cluster.NodeID]*ewma
+	hopBy map[cluster.NodeID]*hopDest
 
 	shape [numProtoIdx]protoShape
 
@@ -140,7 +169,8 @@ func newCostModel() *costModel {
 // one transit plus its local compute; subtracting the compute estimate
 // leaves the hop. The sample is not clamped — when the compute estimate
 // overshoots, the negative remainder pulls the average back toward the
-// true (possibly zero) latency instead of accumulating one-sided noise.
+// true (possibly zero) latency instead of accumulating one-sided noise —
+// but it is spike-filtered, pooled and per destination.
 func (m *costModel) observeSample(s cluster.CallSample) {
 	if s.Err != nil {
 		return
@@ -159,16 +189,16 @@ func (m *costModel) observeSample(s cluster.CallSample) {
 	}
 	m.mu.Lock()
 	x := float64(s.RTT) - float64(st.Nodes)*m.cmpNs.v
-	m.hopNs.add(x)
+	m.hopNs.add(m.hopIn.next(x))
 	e, ok := m.hopBy[s.To]
 	if !ok {
 		if m.hopBy == nil {
-			m.hopBy = make(map[cluster.NodeID]*ewma)
+			m.hopBy = make(map[cluster.NodeID]*hopDest)
 		}
-		e = &ewma{}
+		e = &hopDest{}
 		m.hopBy[s.To] = e
 	}
-	e.add(x - m.hopNs.v)
+	e.add(e.in.next(x) - m.hopNs.v)
 	m.mu.Unlock()
 }
 

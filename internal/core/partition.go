@@ -14,7 +14,7 @@ import (
 // pnode is one tree node hosted by a partition. Exactly one of three
 // states holds:
 //
-//   - leaf:    data node, bucket valid;
+//   - leaf:    data node, ids/coords valid;
 //   - routing: splitDim/splitVal/left/right valid — an *edge node* when
 //     a child lives on another partition, *internal* otherwise (§III-B.1);
 //   - moved:   tombstone left behind by the build-partition algorithm;
@@ -41,8 +41,60 @@ type pnode struct {
 	splitVal  float64
 	left      childRef
 	right     childRef
-	bucket    []kdtree.Point
-	lo, hi    []float64
+	// A leaf's bucket is stored as a structure of arrays: ids[i] is
+	// point i's ID and coords holds the points' coordinates row-major,
+	// Dim values per point, in one contiguous block the leaf scan walks
+	// linearly. Inserts append in place; a written slot is never
+	// overwritten — a split, adoption, install or restore gives the
+	// node a fresh block instead — so a row handed out by row() stays
+	// valid and unchanged after the lock is released.
+	ids    []uint64
+	coords []float64
+	lo, hi []float64
+}
+
+// size returns the number of points a leaf holds.
+func (n *pnode) size() int { return len(n.ids) }
+
+// row returns point i's coordinates as a capacity-capped view of the
+// block: an append through the view cannot reach the next row.
+func (n *pnode) row(i, dim int) []float64 {
+	o := i * dim
+	return n.coords[o : o+dim : o+dim]
+}
+
+// appendPoint adds one point to the leaf's block in place.
+func (n *pnode) appendPoint(pt kdtree.Point) {
+	n.ids = append(n.ids, pt.ID)
+	n.coords = append(n.coords, pt.Coords...)
+}
+
+// setPoints gives the leaf a fresh block holding copies of pts (nil
+// when pts is empty). Callers have validated every point's dimension.
+func (n *pnode) setPoints(pts []kdtree.Point, dim int) {
+	n.ids, n.coords = nil, nil
+	if len(pts) == 0 {
+		return
+	}
+	n.ids = make([]uint64, len(pts))
+	n.coords = make([]float64, 0, len(pts)*dim)
+	for i, pt := range pts {
+		n.ids[i] = pt.ID
+		n.coords = append(n.coords, pt.Coords...)
+	}
+}
+
+// points converts the leaf to the []kdtree.Point form messages and
+// snapshots carry; the Coords alias the block (see row).
+func (n *pnode) points(dim int) []kdtree.Point {
+	if len(n.ids) == 0 {
+		return nil
+	}
+	out := make([]kdtree.Point, len(n.ids))
+	for i, id := range n.ids {
+		out[i] = kdtree.Point{Coords: n.row(i, dim), ID: id}
+	}
+	return out
 }
 
 // partition is one fabric-hosted piece of the SemTree. Nodes live in an
@@ -222,10 +274,10 @@ func (p *partition) handleInsert(r insertReq) (any, error) {
 			continue
 		}
 		p.expandPathBoxes(path, r.Point.Coords)
-		n.bucket = append(n.bucket, r.Point)
+		n.appendPoint(r.Point)
 		p.points++
 		p.inserts.Add(1)
-		if len(n.bucket) > p.t.cfg.BucketSize {
+		if n.size() > p.t.cfg.BucketSize {
 			p.splitLeaf(leafIdx)
 		}
 		spill := p.capacityExceededLocked()
@@ -259,10 +311,10 @@ func (p *partition) handleInsertBatch(r insertBatchReq) (any, error) {
 			continue
 		}
 		n := &p.nodes[leafIdx]
-		n.bucket = append(n.bucket, e.Point)
+		n.appendPoint(e.Point)
 		p.points++
 		p.inserts.Add(1)
-		if len(n.bucket) > p.t.cfg.BucketSize {
+		if n.size() > p.t.cfg.BucketSize {
 			p.splitLeaf(leafIdx)
 		}
 	}
@@ -286,49 +338,59 @@ func (p *partition) splitLeaf(idx int32) {
 		// the delta stream. The adopting side splits on arrival.
 		return
 	}
-	bucket := p.nodes[idx].bucket
+	dims := p.t.cfg.Dim
+	leaf := &p.nodes[idx]
 	var dim int
 	var splitVal float64
 	var ok bool
 	if p.t.cfg.Unbalanced {
-		dim, splitVal, ok = chainSplit(bucket)
+		dim, splitVal, ok = chainSplit(leaf.coords, dims)
 	}
 	if !ok {
-		dim, splitVal, ok = medianSplit(bucket, p.t.cfg.Dim)
+		dim, splitVal, ok = medianSplit(leaf.coords, dims)
 	}
 	if !ok {
 		return // all points identical: oversized leaf stands
 	}
-	var lb, rb []kdtree.Point
-	for _, pt := range bucket {
-		if pt.Coords[dim] <= splitVal {
-			lb = append(lb, pt)
-		} else {
-			rb = append(rb, pt)
+	nl := 0
+	for o := dim; o < len(leaf.coords); o += dims {
+		if leaf.coords[o] <= splitVal {
+			nl++
 		}
 	}
-	llo, lhi := kdtree.BoxOf(lb)
-	rlo, rhi := kdtree.BoxOf(rb)
-	li := p.addNode(pnode{leaf: true, bucket: lb, lo: llo, hi: lhi})
-	ri := p.addNode(pnode{leaf: true, bucket: rb, lo: rlo, hi: rhi})
+	nr := leaf.size() - nl
+	l := pnode{leaf: true, ids: make([]uint64, 0, nl), coords: make([]float64, 0, nl*dims)}
+	r := pnode{leaf: true, ids: make([]uint64, 0, nr), coords: make([]float64, 0, nr*dims)}
+	for i, id := range leaf.ids {
+		c := leaf.row(i, dims)
+		side := &r
+		if c[dim] <= splitVal {
+			side = &l
+		}
+		side.appendPoint(kdtree.Point{Coords: c, ID: id})
+		side.expandBox(c)
+	}
+	li := p.addNode(l)
+	ri := p.addNode(r)
 	n := &p.nodes[idx] // re-take: addNode may have grown the arena
 	n.leaf = false
-	n.bucket = nil
+	n.ids, n.coords = nil, nil
 	n.splitDim = int32(dim)
 	n.splitVal = splitVal
 	n.left = childRef{Part: p.id, Node: li}
 	n.right = childRef{Part: p.id, Node: ri}
 }
 
-// medianSplit picks the widest dimension and a value separating the
-// bucket (median when it separates, midpoint otherwise).
-func medianSplit(bucket []kdtree.Point, dims int) (dim int, splitVal float64, ok bool) {
+// medianSplit picks the widest dimension of a row-major block of
+// dims-wide points and a value separating it (median when it
+// separates, midpoint otherwise).
+func medianSplit(coords []float64, dims int) (dim int, splitVal float64, ok bool) {
 	bestSpread := 0.0
 	var lo, hi float64
 	for d := 0; d < dims; d++ {
-		mn, mx := bucket[0].Coords[d], bucket[0].Coords[d]
-		for _, p := range bucket[1:] {
-			v := p.Coords[d]
+		mn, mx := coords[d], coords[d]
+		for o := d + dims; o < len(coords); o += dims {
+			v := coords[o]
 			if v < mn {
 				mn = v
 			}
@@ -343,9 +405,9 @@ func medianSplit(bucket []kdtree.Point, dims int) (dim int, splitVal float64, ok
 	if !ok {
 		return 0, 0, false
 	}
-	vals := make([]float64, len(bucket))
-	for i, p := range bucket {
-		vals[i] = p.Coords[dim]
+	vals := make([]float64, 0, len(coords)/dims)
+	for o := dim; o < len(coords); o += dims {
+		vals = append(vals, coords[o])
 	}
 	//semtree:allow boundaryonce: construction-time median selection when splitting a leaf; not on the query-result path
 	sort.Float64s(vals)
@@ -360,10 +422,10 @@ func medianSplit(bucket []kdtree.Point, dims int) (dim int, splitVal float64, ok
 // unbalanced" curves: split on dimension 0 at the predecessor of the
 // maximum, so monotonically increasing inserts grow a right-leaning
 // chain. ok is false when dimension 0 has no spread.
-func chainSplit(bucket []kdtree.Point) (dim int, splitVal float64, ok bool) {
-	mx := bucket[0].Coords[0]
-	for _, p := range bucket[1:] {
-		if v := p.Coords[0]; v > mx {
+func chainSplit(coords []float64, dims int) (dim int, splitVal float64, ok bool) {
+	mx := coords[0]
+	for o := dims; o < len(coords); o += dims {
+		if v := coords[o]; v > mx {
 			mx = v
 		}
 	}
@@ -371,8 +433,8 @@ func chainSplit(bucket []kdtree.Point) (dim int, splitVal float64, ok bool) {
 	// maximum (and its duplicates) form the right side.
 	havePred := false
 	var pred float64
-	for _, p := range bucket {
-		if v := p.Coords[0]; v < mx && (!havePred || v > pred) {
+	for o := 0; o < len(coords); o += dims {
+		if v := coords[o]; v < mx && (!havePred || v > pred) {
 			pred, havePred = v, true
 		}
 	}
@@ -461,7 +523,7 @@ func (p *partition) buildPartition() {
 		subs := make([]placeBox, len(moves))
 		for k, mv := range moves {
 			leaf := &p.nodes[mv.leaf]
-			subs[k] = placeBox{lo: leaf.lo, hi: leaf.hi, points: len(leaf.bucket)}
+			subs[k] = placeBox{lo: leaf.lo, hi: leaf.hi, points: leaf.size()}
 		}
 		tgs := make([]placeTarget, len(targets))
 		for i, id := range targets {
@@ -480,7 +542,7 @@ func (p *partition) buildPartition() {
 		// min-distance (and grows when inserts forward through the
 		// direct link).
 		//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
-		resp, err := p.t.call(p.id, target, adoptReq{Bucket: leaf.bucket, Lo: leaf.lo, Hi: leaf.hi})
+		resp, err := p.t.call(p.id, target, adoptReq{Bucket: leaf.points(p.t.cfg.Dim), Lo: leaf.lo, Hi: leaf.hi})
 		if err != nil {
 			continue // leaf stays local; a later spill may retry
 		}
@@ -496,8 +558,8 @@ func (p *partition) buildPartition() {
 		} else {
 			p.nodes[mv.parent].left = ref
 		}
-		p.points -= len(leaf.bucket)
-		leaf.bucket = nil
+		p.points -= leaf.size()
+		leaf.ids, leaf.coords = nil, nil
 		leaf.moved = true
 		leaf.leaf = false
 		leaf.fwd = ref
@@ -515,13 +577,15 @@ func (p *partition) handleAdopt(r adoptReq) (any, error) {
 	if lo == nil {
 		lo, hi = kdtree.BoxOf(r.Bucket)
 	}
+	n := pnode{
+		leaf: true,
+		lo:   append([]float64(nil), lo...),
+		hi:   append([]float64(nil), hi...),
+	}
+	n.setPoints(r.Bucket, p.t.cfg.Dim)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	idx := p.addNode(pnode{
-		leaf: true, bucket: r.Bucket,
-		lo: append([]float64(nil), lo...),
-		hi: append([]float64(nil), hi...),
-	})
+	idx := p.addNode(n)
 	p.points += len(r.Bucket)
 	return adoptResp{Node: idx}, nil
 }

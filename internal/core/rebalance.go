@@ -101,7 +101,7 @@ func (p *partition) collectVisit(idx int32, out *[]kdtree.Point) error {
 		return p.remoteCollect(n.fwd, out)
 	}
 	if n.leaf {
-		*out = append(*out, n.bucket...)
+		*out = append(*out, n.points(p.t.cfg.Dim)...)
 		return nil
 	}
 	for _, ref := range []childRef{n.left, n.right} {
@@ -175,8 +175,8 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 			n.hi = append([]float64(nil), wn.Hi...)
 		}
 		if wn.Leaf {
-			n.bucket = append([]kdtree.Point(nil), wn.Bucket...)
-			p.points += len(n.bucket)
+			n.setPoints(wn.Bucket, p.t.cfg.Dim)
+			p.points += n.size()
 		} else {
 			var err error
 			if n.left, err = resolve(wn.Left); err != nil {

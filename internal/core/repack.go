@@ -6,8 +6,6 @@ import (
 	"sort"
 
 	"semtree/internal/cluster"
-
-	"semtree/internal/kdtree"
 )
 
 // Background repacking: spill-time placement decides with the boxes it
@@ -139,7 +137,7 @@ func (p *partition) handleRepackScan() (any, error) {
 			if n.lo != nil {
 				resp.Leaves = append(resp.Leaves, leafSummary{
 					Node:    int32(i),
-					Points:  len(n.bucket),
+					Points:  n.size(),
 					Lo:      append([]float64(nil), n.lo...),
 					Hi:      append([]float64(nil), n.hi...),
 					Movable: movable[int32(i)],
@@ -229,7 +227,7 @@ func (p *partition) handleMigrate(r migrateReq) (any, error) {
 	}
 	leaf := &p.nodes[r.Node]
 	leaf.migrating = true
-	snapshot := append([]kdtree.Point(nil), leaf.bucket...)
+	snapshot := leaf.points(p.t.cfg.Dim)
 	lo := append([]float64(nil), leaf.lo...)
 	hi := append([]float64(nil), leaf.hi...)
 	p.mu.Unlock()
@@ -256,7 +254,7 @@ func (p *partition) handleMigrate(r migrateReq) (any, error) {
 	for {
 		p.mu.Lock()
 		leaf := &p.nodes[r.Node]
-		if len(leaf.bucket) == sent {
+		if leaf.size() == sent {
 			if p.remoteBoxes == nil {
 				p.remoteBoxes = make(map[childRef]box)
 			}
@@ -266,9 +264,9 @@ func (p *partition) handleMigrate(r migrateReq) (any, error) {
 			} else {
 				p.nodes[parent].left = ref
 			}
-			moved := len(leaf.bucket)
+			moved := leaf.size()
 			p.points -= moved
-			leaf.bucket = nil
+			leaf.ids, leaf.coords = nil, nil
 			leaf.leaf = false
 			leaf.moved = true
 			leaf.fwd = ref
@@ -277,8 +275,8 @@ func (p *partition) handleMigrate(r migrateReq) (any, error) {
 			p.mu.Unlock()
 			return migrateResp{Moved: true, Points: moved}, nil
 		}
-		delta := append([]kdtree.Point(nil), leaf.bucket[sent:]...)
-		sent = len(leaf.bucket)
+		delta := leaf.points(p.t.cfg.Dim)[sent:]
+		sent = leaf.size()
 		p.mu.Unlock()
 		for _, pt := range delta {
 			if _, err := p.t.call(p.id, r.Dest, insertReq{Node: ref.Node, Point: pt}); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -157,7 +158,10 @@ func TestRepackConcurrentInsertQuery(t *testing.T) {
 		}(w)
 	}
 	// Queriers: results must stay well-formed throughout (the exact
-	// oracle check happens after quiescence).
+	// oracle check happens after quiescence). Returned coordinates alias
+	// leaf blocks that inserts keep appending to and migrations drain,
+	// so re-deriving each distance from them reads the aliased rows
+	// while the writers run — under -race, the block contract's check.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -170,9 +174,14 @@ func TestRepackConcurrentInsertQuery(t *testing.T) {
 					errc <- err
 					return
 				}
-				for j := 1; j < len(ns); j++ {
-					if ns[j].Dist < ns[j-1].Dist {
+				for j := range ns {
+					if j > 0 && ns[j].Dist < ns[j-1].Dist {
 						errc <- errOutOfOrder
+						return
+					}
+					if d := euclidean(q, ns[j].Point.Coords); d != ns[j].Dist {
+						errc <- fmt.Errorf("neighbor %d: its coordinates give distance %v, reported %v",
+							ns[j].Point.ID, d, ns[j].Dist)
 						return
 					}
 				}

@@ -59,9 +59,18 @@ type queryCtx struct {
 // (plane or box, sequential or fan-out) must keep the same winner for
 // all modes to stay bit-identical. guardSq < 0 marks an unconditional
 // visit.
+//
+// A far child is pushed lazy: guardSq then holds only the squared
+// splitting-plane distance, a lower bound of the exact guard, and the
+// box min-distance is computed at pop time only where it can change
+// something — when the plane bound alone does not prune and the result
+// set is full, or when the frame leaves the partition or reaches a
+// tombstone, whose hop must carry the exact guard. Either way the
+// prune decision equals the eager guard's.
 type knnFrame struct {
 	ref     childRef
 	guardSq float64
+	lazy    bool
 	// home marks a subtree the traversal reached unconditionally — the
 	// query's own descent path lies in it. Deferred home subtrees are
 	// re-guarded by their region like any sibling (a provably-worse one
@@ -96,8 +105,14 @@ func putQueryCtx(c *queryCtx) {
 	queryCtxPool.Put(c)
 }
 
-func (c *queryCtx) push(ref childRef, guardSq float64) {
-	c.stack = append(c.stack, knnFrame{ref: ref, guardSq: guardSq})
+func (c *queryCtx) push(ref childRef, guardSq float64, lazy bool) {
+	c.stack = append(c.stack, knnFrame{ref: ref, guardSq: guardSq, lazy: lazy})
+}
+
+// pruned reports the backtracking prune: the result ball cannot reach
+// a region no point of which lies closer than sqrt(guardSq).
+func (c *queryCtx) pruned(guardSq float64) bool {
+	return guardSq >= 0 && c.rs.Full() && c.rs.Worst() < guardSq
 }
 
 // snapshotRs copies the current result set into the scratch
@@ -234,16 +249,24 @@ func (p *partition) knnTraverse(ctx context.Context, r knnReq, c *queryCtx) erro
 		// Fan-out continuation: seed the stack with every guarded
 		// entry, reversed so the first entry pops first.
 		for i := len(r.Entries) - 1; i >= 0; i-- {
-			c.push(childRef{Part: p.id, Node: r.Entries[i].Node}, r.Entries[i].GuardSq)
+			c.push(childRef{Part: p.id, Node: r.Entries[i].Node}, r.Entries[i].GuardSq, false)
 		}
 	} else {
-		c.push(childRef{Part: p.id, Node: r.Node}, -1)
+		c.push(childRef{Part: p.id, Node: r.Node}, -1, false)
 	}
 	for len(c.stack) > 0 {
 		f := c.stack[len(c.stack)-1]
 		c.stack = c.stack[:len(c.stack)-1]
-		if f.guardSq >= 0 && c.rs.Full() && c.rs.Worst() < f.guardSq {
+		if c.pruned(f.guardSq) {
 			continue // backtracking prune: the result ball cannot reach the region
+		}
+		if f.lazy && (c.rs.Full() || !p.local(f.ref) || p.nodes[f.ref.Node].moved) {
+			// The plane bound did not prune; the exact region guard
+			// (never looser) may, and a hop must carry it.
+			f.guardSq = p.guardSq(f.ref, r.Query, f.guardSq)
+			if c.pruned(f.guardSq) {
+				continue
+			}
 		}
 		if err := c.checkCtx(ctx); err != nil {
 			return err
@@ -263,24 +286,43 @@ func (p *partition) knnTraverse(ctx context.Context, r knnReq, c *queryCtx) erro
 			}
 		case n.leaf:
 			c.stats.Buckets++
-			c.stats.Dists += int64(len(n.bucket))
-			for _, pt := range n.bucket {
-				c.rs.Offer(kdtree.Neighbor{Point: pt, Dist: euclideanSq(r.Query, pt.Coords)})
-			}
+			c.stats.Dists += int64(n.size())
+			p.scanLeaf(n, r.Query, &c.rs)
 		default:
 			near, far := n.left, n.right
 			if r.Query[n.splitDim] > n.splitVal {
 				near, far = far, near
 			}
 			plane := r.Query[n.splitDim] - n.splitVal
-			// LIFO: far is guarded by its region's exact min-distance
-			// (plane² fallback for an unknown remote region) and pops
-			// only after near's whole subtree has been explored.
-			c.push(far, p.guardSq(far, r.Query, plane*plane))
-			c.push(near, -1)
+			// LIFO: far pops only after near's whole subtree has been
+			// explored, guarded by its region's exact min-distance
+			// (plane² fallback for an unknown remote region), which the
+			// pop resolves lazily from the plane bound.
+			c.push(far, plane*plane, true)
+			c.push(near, -1, false)
 		}
 	}
 	return nil
+}
+
+// scanLeaf offers every point of a leaf to rs, walking the leaf's
+// coordinate block row by row. Once the set is full, a point strictly
+// beyond the k-th best is dropped without an Offer — exactly the points
+// Offer would reject; ties still reach it for the ID tie-break. Kept
+// points alias their row of the block, which stays valid after the
+// read lock is released (see pnode).
+func (p *partition) scanLeaf(n *pnode, q []float64, rs *resultSet) {
+	dim := p.t.cfg.Dim
+	worst := rs.Worst()
+	for i, id := range n.ids {
+		c := n.row(i, dim)
+		d := euclideanSq(q, c)
+		if d > worst {
+			continue
+		}
+		rs.Offer(kdtree.Neighbor{Point: kdtree.Point{Coords: c, ID: id}, Dist: d})
+		worst = rs.Worst()
+	}
 }
 
 // remoteKNN hands a remote subtree off. In Seq mode the call is
@@ -303,7 +345,7 @@ func (p *partition) remoteKNN(ctx context.Context, ref childRef, guardSq float64
 			guardSq = minSq
 		}
 	}
-	if guardSq >= 0 && c.rs.Full() && c.rs.Worst() < guardSq {
+	if c.pruned(guardSq) {
 		return nil // provably beyond the k-th best: no message spent
 	}
 	if r.Seq {
@@ -352,7 +394,7 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 	groups := make(map[cluster.NodeID][]knnEntry)
 	minGuard := make(map[cluster.NodeID]float64)
 	for _, f := range c.pending {
-		if f.guardSq >= 0 && c.rs.Full() && c.rs.Worst() < f.guardSq {
+		if c.pruned(f.guardSq) {
 			continue
 		}
 		guard := f.guardSq
@@ -405,7 +447,7 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 	for part, entries := range groups {
 		kept := entries[:0]
 		for _, e := range entries {
-			if e.GuardSq >= 0 && c.rs.Full() && c.rs.Worst() < e.GuardSq {
+			if c.pruned(e.GuardSq) {
 				continue // the probe's tightened ball rules it out
 			}
 			kept = append(kept, e)
@@ -525,11 +567,13 @@ func (p *partition) rangeVisit(ctx context.Context, idx int32, q []float64, d fl
 	if n.leaf {
 		var local []kdtree.Neighbor
 		dd := d * d
+		dim := p.t.cfg.Dim
 		col.local.Buckets++
-		col.local.Dists += int64(len(n.bucket))
-		for _, pt := range n.bucket {
-			if sq := euclideanSq(q, pt.Coords); sq <= dd {
-				local = append(local, kdtree.Neighbor{Point: pt, Dist: sq})
+		col.local.Dists += int64(n.size())
+		for i, id := range n.ids {
+			c := n.row(i, dim)
+			if sq := euclideanSq(q, c); sq <= dd {
+				local = append(local, kdtree.Neighbor{Point: kdtree.Point{Coords: c, ID: id}, Dist: sq})
 			}
 		}
 		if local != nil {

@@ -12,7 +12,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"semtree/internal/fastmap"
 	"semtree/internal/kdtree"
+	"semtree/internal/semdist"
+	"semtree/internal/synth"
+	"semtree/internal/triple"
+	"semtree/internal/vocab"
 )
 
 func benchQueryTree(b *testing.B, m int) (*Tree, [][]float64) {
@@ -133,6 +138,61 @@ func BenchmarkKNNRegionPrune(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCoreKNN is the layer ladder's multi-partition core rung:
+// k=10 k-nearest over the 8-dim FastMap embedding of 50k synthetic
+// triples, bulk-loaded into 8 partitions on the in-process fabric,
+// with each protocol pinned. The embedding's clustered geometry is
+// what the facade feeds the tree, so leaf-scan and pruning costs here
+// track the serving workloads rather than uniform noise.
+func BenchmarkCoreKNN(b *testing.B) {
+	const n, dims, parts, k = 50000, 8, 8, 10
+	metric, err := semdist.New(vocab.DefaultRegistry(), semdist.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	resolve := func(ts []triple.Triple) []semdist.Triple {
+		out := make([]semdist.Triple, len(ts))
+		for i, t := range ts {
+			out[i] = metric.Resolve(t)
+		}
+		return out
+	}
+	mapper, coords, err := fastmap.Build(resolve(synth.New(synth.Config{Seed: 1}, nil).Triples(n)),
+		metric.ResolvedDistance, fastmap.Options{Dims: dims, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := make([]kdtree.Point, n)
+	for i, c := range coords {
+		pts[i] = kdtree.Point{Coords: c, ID: uint64(i)}
+	}
+	tr, err := New(Config{Dim: dims, PartitionCapacity: (n + parts - 1) / parts, MaxPartitions: parts})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { tr.Close() })
+	if err := tr.BulkLoad(context.Background(), pts); err != nil {
+		b.Fatal(err)
+	}
+	if got := tr.PartitionCount(); got != parts {
+		b.Fatalf("partitions = %d, want %d", got, parts)
+	}
+	qs := mapper.MapAll(resolve(synth.New(synth.Config{Seed: 2}, nil).Triples(256)))
+	for _, mode := range []struct {
+		name  string
+		proto Protocol
+	}{{"seq", ProtocolSequential}, {"parallel", ProtocolFanOut}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], k, mode.proto, false); err != nil {
 					b.Fatal(err)
 				}
 			}

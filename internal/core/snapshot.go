@@ -144,10 +144,10 @@ func init() {
 }
 
 // handleSnapshot deep-copies the partition's state under the read lock.
-// Buckets share point storage (points are immutable), but boxes are
-// owned copies — the live arena keeps expanding its own. A migration
-// caught in flight violates the snapshot's quiescence contract and is
-// refused rather than serialized inconsistently.
+// Bucket points alias the leaf blocks (written rows are immutable), but
+// boxes are owned copies — the live arena keeps expanding its own. A
+// migration caught in flight violates the snapshot's quiescence
+// contract and is refused rather than serialized inconsistently.
 func (p *partition) handleSnapshot() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -162,7 +162,7 @@ func (p *partition) handleSnapshot() (any, error) {
 			Leaf: n.leaf, Moved: n.moved, Fwd: n.fwd,
 			SplitDim: n.splitDim, SplitVal: n.splitVal,
 			Left: n.left, Right: n.right,
-			Bucket: append([]kdtree.Point(nil), n.bucket...),
+			Bucket: n.points(p.t.cfg.Dim),
 			Lo:     append([]float64(nil), n.lo...),
 			Hi:     append([]float64(nil), n.hi...),
 		}
@@ -178,8 +178,8 @@ func (p *partition) handleSnapshot() (any, error) {
 }
 
 // handleRestore replaces the partition's state wholesale under the
-// write lock. Slices are copied: on an in-process fabric the request
-// aliases client memory.
+// write lock. Slices are copied, buckets into fresh leaf blocks: on an
+// in-process fabric the request aliases client memory.
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -189,10 +189,10 @@ func (p *partition) handleRestore(r restoreReq) (any, error) {
 			leaf: wn.Leaf, moved: wn.Moved, fwd: wn.Fwd,
 			splitDim: wn.SplitDim, splitVal: wn.SplitVal,
 			left: wn.Left, right: wn.Right,
-			bucket: append([]kdtree.Point(nil), wn.Bucket...),
-			lo:     append([]float64(nil), wn.Lo...),
-			hi:     append([]float64(nil), wn.Hi...),
+			lo: append([]float64(nil), wn.Lo...),
+			hi: append([]float64(nil), wn.Hi...),
 		}
+		p.nodes[i].setPoints(wn.Bucket, p.t.cfg.Dim)
 	}
 	p.points = r.Points
 	p.remoteBoxes = nil

@@ -78,6 +78,7 @@ func TestServeErrorCodesComplete(t *testing.T) {
 func TestServeErrorRoundTrip(t *testing.T) {
 	for _, s := range []error{ErrProtocol, ErrAuth, ErrDraining, ErrVersion, ErrNotAdmin} {
 		code, msg, detail := encodeError(s)
+		//semtree:allow typederr: not classification — the message must cross the wire verbatim; identity is checked with errors.Is beside it
 		if dec := semtree.DecodeError(code, msg, detail); !errors.Is(dec, s) || dec.Error() != s.Error() {
 			t.Errorf("%v: wire round trip lost the sentinel (got %v)", s, dec)
 		}
@@ -86,6 +87,7 @@ func TestServeErrorRoundTrip(t *testing.T) {
 	werr := fmt.Errorf("while serving request 12: %w", ErrDraining)
 	code, msg, detail := encodeError(werr)
 	dec := semtree.DecodeError(code, msg, detail)
+	//semtree:allow typederr: not classification — the wrapped message must survive verbatim; identity is checked with errors.Is beside it
 	if !errors.Is(dec, ErrDraining) || dec.Error() != werr.Error() {
 		t.Errorf("wrapped draining error round trip: got %v", dec)
 	}

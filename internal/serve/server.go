@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -342,7 +343,10 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	// The hello must arrive promptly; afterwards the connection may
 	// idle indefinitely between requests.
 	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
-	payload, err := readFrame(conn)
+	// Buffered reads: a frame's header and payload usually arrive in
+	// one read syscall instead of two.
+	br := bufio.NewReader(conn)
+	payload, err := readFrame(br)
 	if err != nil {
 		return
 	}
@@ -379,7 +383,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Time{})
 
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(br)
 		if err != nil {
 			return // clean close, peer gone, or unframeable garbage
 		}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 
 	"semtree"
 	"semtree/internal/triple"
@@ -479,15 +480,19 @@ func decodeFrame(payload []byte) (any, error) {
 	}
 }
 
-// writeFrame writes one length-prefixed frame. Callers serialize writes
-// per connection (the server holds a per-connection write mutex; the
-// client runs one request per pooled connection).
+// writeFrame writes one length-prefixed frame. Header and payload go
+// out as one vectored write on a TCP connection (net.Buffers), so the
+// payload is never copied just to prepend the header. Callers serialize
+// writes per connection (the server holds a per-connection write mutex;
+// the client runs one request per pooled connection).
 func writeFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxFrameSize {
 		return fmt.Errorf("%w: frame of %d bytes exceeds cap", ErrProtocol, len(payload))
 	}
-	hdr := appendU32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
-	_, err := w.Write(append(hdr, payload...))
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	bufs := net.Buffers{hdr[:], payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 

@@ -47,34 +47,38 @@ type indexSnapshot struct {
 
 // Save writes a snapshot of the index to w. Concurrent queries, Insert
 // and BulkAdd are fine: Save waits for in-flight ingests, captures the
-// store, the embeddings and the tree while new ingests wait, and lets
-// them resume before encoding. Rebalance and Repack must not run
-// concurrently.
+// store and the tree while new ingests wait, and lets them resume
+// before encoding. The persisted coordinates are read from the tree
+// capture — the tree holds the only copy of each embedding. Rebalance
+// and Repack must not run concurrently.
 func Save(w io.Writer, ix *Index) error {
-	coords, entries, treeSnap, err := ix.capture()
+	entries, treeSnap, err := ix.capture()
 	if err != nil {
 		return err
-	}
-	if len(entries) != len(coords) {
-		return fmt.Errorf("semtree: store holds %d triples but %d embeddings are tracked "+
-			"(triples added to the store outside the index?)", len(entries), len(coords))
 	}
 	// Ingests through the index cannot split the capture, but a triple
 	// written to the store directly, or a tree mutated behind the
 	// index, still can. Load rejects such a snapshot; report the
-	// mutation instead of writing it.
+	// mutation instead of writing it. Every stored triple must own
+	// exactly one tree point.
+	coords := make([][]float64, len(entries))
 	points, stray := int64(0), false
 	for pi := range treeSnap.Parts {
 		for ni := range treeSnap.Parts[pi].Nodes {
 			for _, pt := range treeSnap.Parts[pi].Nodes[ni].Bucket {
 				points++
-				stray = stray || pt.ID >= uint64(len(entries))
+				if pt.ID >= uint64(len(entries)) || coords[pt.ID] != nil {
+					stray = true
+					continue
+				}
+				coords[pt.ID] = pt.Coords
 			}
 		}
 	}
 	if treeSnap.Size != int64(len(entries)) || points != treeSnap.Size || stray {
 		return fmt.Errorf("semtree: tree snapshot holds %d points (size %d) but %d triples are stored "+
-			"(index mutated during Save?)", points, treeSnap.Size, len(entries))
+			"(triples added to the store outside the index, or index mutated during Save?)",
+			points, treeSnap.Size, len(entries))
 	}
 	snap := indexSnapshot{
 		Version: snapshotVersion,
@@ -90,26 +94,22 @@ func Save(w io.Writer, ix *Index) error {
 	return nil
 }
 
-// capture copies the embedding table, the store's entries and the
-// tree's partitions as one consistent cut: it holds the ingest lock
-// exclusively, so no Insert or BulkAdd is between its store write and
-// its tree insert.
-func (ix *Index) capture() ([][]float64, []triple.Entry, *core.TreeSnapshot, error) {
+// capture copies the store's entries and the tree's partitions as one
+// consistent cut: it holds the ingest lock exclusively, so no Insert or
+// BulkAdd is between its store write and its tree insert.
+func (ix *Index) capture() ([]triple.Entry, *core.TreeSnapshot, error) {
 	ix.ingest.Lock()
 	defer ix.ingest.Unlock()
-	ix.mu.Lock()
-	coords := append([][]float64(nil), ix.coords...)
 	entries := make([]triple.Entry, 0, ix.store.Len())
 	ix.store.Each(func(id triple.ID, e triple.Entry) bool {
 		entries = append(entries, e)
 		return true
 	})
-	ix.mu.Unlock()
 	treeSnap, err := ix.tree.Snapshot()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("semtree: save: %w", err)
+		return nil, nil, fmt.Errorf("semtree: save: %w", err)
 	}
-	return coords, entries, treeSnap, nil
+	return entries, treeSnap, nil
 }
 
 // encodeSnapshot and decodeSnapshot isolate the gob round trip for
@@ -246,6 +246,6 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 
 	return &Index{
 		store: store, metric: metric, mapper: mapper, pivots: snap.Mapper, tree: tree,
-		dims: snap.Options.Dims, opts: snap.Options, coords: snap.Coords,
+		dims: snap.Options.Dims, opts: snap.Options,
 	}, nil
 }

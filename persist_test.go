@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -411,4 +412,100 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatalf("accepted snapshot does not answer queries: %v", err)
 		}
 	})
+}
+
+// TestSaveCoordsFromTree: the tree holds the only copy of each
+// embedding, and Save fills the snapshot's Coords from its capture.
+// After Insert and BulkAdd, every persisted row must be that triple's
+// embedding bit for bit (built triples are checked against the tree:
+// their row must be a point stored under their own ID), and a version-1
+// reload — which rebuilds the tree from Coords alone — must answer like
+// the original.
+func TestSaveCoordsFromTree(t *testing.T) {
+	g := synth.New(synth.Config{Seed: 73}, nil)
+	store := triple.NewStore()
+	for _, tp := range g.Triples(200) {
+		store.Add(tp, triple.Provenance{})
+	}
+	ix, err := Build(store, Options{Seed: 3, PartitionCapacity: 64, MaxPartitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	want := map[triple.ID][]float64{}
+	for _, tp := range g.Triples(40) {
+		id, err := ix.Insert(tp, triple.Provenance{Doc: "ins"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = ix.embed(tp)
+	}
+	items := make([]BulkItem, 0, 60)
+	for _, tp := range g.Triples(60) {
+		items = append(items, BulkItem{Triple: tp, Prov: triple.Provenance{Doc: "bulk"}})
+	}
+	ids, err := ix.BulkAdd(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		want[id] = ix.embed(items[i].Triple)
+	}
+
+	var buf bytes.Buffer
+	if err := Save(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	var snap indexSnapshot
+	if err := decodeSnapshot(bytes.NewReader(buf.Bytes()), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Coords) != 300 || len(snap.Entries) != 300 {
+		t.Fatalf("snapshot holds %d rows for %d entries, want 300", len(snap.Coords), len(snap.Entries))
+	}
+	for id, c := range want {
+		row := snap.Coords[id]
+		if len(row) != len(c) {
+			t.Fatalf("ID %d: row of %d dims, want %d", id, len(row), len(c))
+		}
+		for d := range c {
+			if math.Float64bits(row[d]) != math.Float64bits(c[d]) {
+				t.Fatalf("ID %d: persisted row %v, embedding %v", id, row, c)
+			}
+		}
+	}
+	for id := 0; id < 200; id++ {
+		ns, _, err := ix.tree.KNearest(context.Background(), snap.Coords[id], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ns) != 1 || ns[0].Dist != 0 {
+			t.Fatalf("ID %d: persisted row is not a stored point (%v)", id, ns)
+		}
+	}
+
+	snap.Version, snap.Tree = 1, nil
+	var v1 bytes.Buffer
+	if err := encodeSnapshot(&v1, &snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&v1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	qGen := synth.New(synth.Config{Seed: 74}, nil)
+	for q := 0; q < 20; q++ {
+		query := qGen.RandomTriple()
+		a := search(t, ix, query, WithK(5))
+		b := search(t, loaded, query, WithK(5))
+		if len(a) != len(b) {
+			t.Fatalf("query %d: %d vs %d results", q, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
+				t.Fatalf("query %d rank %d: (%d,%v) vs (%d,%v)", q, i, a[i].ID, a[i].Dist, b[i].ID, b[i].Dist)
+			}
+		}
+	}
 }
